@@ -521,19 +521,23 @@ def _oracle_compare(args, load: PriorityLoad, fifo: float, waits) -> dict:
     )
     stream = generate_stream(params, args.patients, trial_stream(args.seed, 0))
     fifo_out = replay_stream(stream, load.servers, QueueDiscipline.FIFO)
-    result = {}
-    wait_all = fifo_out.wait
-    se = batch_mean_se(wait_all)
-    result["fifo"] = (float(wait_all.mean()), float((wait_all.mean() - fifo) / se))
     if len(load.arrival_rates) == 1:
         prio_out = fifo_out
     else:
         prio_out = replay_stream(stream, load.servers, QueueDiscipline.AI_PRIORITY)
     masks = [prio_out.flagged, ~prio_out.flagged][: len(load.arrival_rates)]
+    samples = {"fifo": (fifo_out.wait, fifo)}
     for k, (mask, wq) in enumerate(zip(masks, waits), start=1):
-        values = prio_out.wait[mask]
+        samples[f"class{k}"] = (prio_out.wait[mask], wq)
+    result = {}
+    for name, (values, wq) in samples.items():
+        if values.size < 2:
+            raise ParameterError(
+                f"simulated {name} sample has {values.size} exam(s), need >= 2 "
+                "for a z-score: raise --patients"
+            )
         se = batch_mean_se(values)
-        result[f"class{k}"] = (float(values.mean()), float((values.mean() - wq) / se))
+        result[name] = (float(values.mean()), float((values.mean() - wq) / se))
     return result
 
 

@@ -8,120 +8,109 @@ an unflagged read in progress. Because the stream is attached to the exams
 rather than to the servers, the same stream can be replayed under FIFO and
 either priority ordering (common random numbers), which is how paired
 time-savings are computed.
+
+Two plain-Python kernels do the replay. FIFO needs only each reader's
+free-at time, kept in a heap (the Kiefer-Wolfowitz workload recursion).
+Both priority disciplines share an arrival-driven kernel: a heap of
+(busy-until, exam) pairs and two queues, flagged and unflagged; preemption
+is a slow path taken only when a flagged arrival finds every reader busy.
+Inputs are read and outputs written through memoryviews of the numpy
+arrays, so no per-exam Python list is built.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import heapq
+import math
+import multiprocessing
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import QueueDiscipline, WorkflowParams, trial_stream
 from .errors import ParameterError
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
+def _serve_fifo(arrival, service, n_servers):
+    # Kiefer-Wolfowitz recursion: a heap holds each reader's free-at time,
+    # and exam i starts at the later of its arrival and the earliest of them.
+    # Which reader takes an exam does not change any start time, so the
+    # event tie rules of _serve_priority need no counterpart here.
+    start = np.empty(len(arrival), np.float64)
+    out = memoryview(start)
+    free = [-math.inf] * n_servers
+    for i, (t, s) in enumerate(zip(memoryview(arrival), memoryview(service))):
+        first = free[0]
+        t0 = t if t >= first else first
+        out[i] = t0
+        heapq.heapreplace(free, t0 + s)
+    return start, np.zeros(len(arrival), np.float64)
 
 
-def _serve_queue_impl(arrivals, service, flagged, n_servers, use_priority, preempt):
-    # Single pass over arrival and completion events in time order.
-    # Tie rule: completions before arrivals at equal times, lowest exam id
-    # first among simultaneous completions, lowest-index free server takes
-    # the next exam. A freed server immediately pulls from the queue, so no
-    # server idles while anyone waits.
-    # With preempt, a flagged arrival that finds no free server takes the
-    # server of the in-service unflagged exam that arrived last (highest id);
+def _serve_priority(arrival, service, flagged, n_servers, preempt):
+    # Arrival-driven replay with flagged exams dispatched first. Before each
+    # arrival, every completion at or before it is handled, so completions
+    # come before arrivals at equal times; the heap of (busy_until, exam)
+    # pairs hands out simultaneous completions lowest exam id first. A freed
+    # reader immediately pulls from the queues, so no reader idles while
+    # anyone waits.
+    # With preempt, a flagged arrival that finds every reader busy takes the
+    # reader of the in-service unflagged exam that arrived last (highest id);
     # that exam goes to the head of the unflagged queue and later resumes
     # with its remaining read time. Returns each exam's first start and its
     # total time spent suspended (0.0 unless it was interrupted).
-    n = arrivals.shape[0]
+    n = len(arrival)
     start = np.empty(n, np.float64)
     suspended = np.zeros(n, np.float64)
-    remaining = service.copy()
-    paused_at = np.full(n, -1.0)
-    busy = np.zeros(n_servers, np.bool_)
-    busy_until = np.zeros(n_servers, np.float64)
-    busy_exam = np.zeros(n_servers, np.int64)
-    queue_flag = np.empty(n, np.int64)
-    # Room on both sides: preempted exams are pushed back at the head.
-    queue_plain = np.empty(2 * n, np.int64)
-    qf_head = qf_tail = 0
-    qp_head = qp_tail = n
-    n_busy = 0
-    i = 0
-    big = np.int64(1 << 62)
-    while i < n or n_busy > 0:
-        t_done = np.inf
-        s_done = -1
-        id_done = big
-        for s in range(n_servers):
-            if busy[s]:
-                t = busy_until[s]
-                if t < t_done or (t == t_done and busy_exam[s] < id_done):
-                    t_done = t
-                    s_done = s
-                    id_done = busy_exam[s]
-        t_arr = arrivals[i] if i < n else np.inf
-        if s_done >= 0 and t_done <= t_arr:
-            busy[s_done] = False
-            n_busy -= 1
-            nxt = -1
-            if use_priority and qf_tail > qf_head:
-                nxt = queue_flag[qf_head]
-                qf_head += 1
-            elif qp_tail > qp_head:
-                nxt = queue_plain[qp_head]
-                qp_head += 1
-            if nxt >= 0:
-                if paused_at[nxt] >= 0.0:
-                    suspended[nxt] += t_done - paused_at[nxt]
-                else:
-                    start[nxt] = t_done
-                busy[s_done] = True
-                busy_until[s_done] = t_done + remaining[nxt]
-                busy_exam[s_done] = nxt
-                n_busy += 1
-        else:
-            victim = -1
-            if preempt and flagged[i] and n_busy == n_servers:
-                for s in range(n_servers):
-                    e = busy_exam[s]
-                    if not flagged[e] and (victim < 0 or e > busy_exam[victim]):
-                        victim = s
-            if n_busy < n_servers:
-                for s in range(n_servers):
-                    if not busy[s]:
-                        start[i] = t_arr
-                        busy[s] = True
-                        busy_until[s] = t_arr + service[i]
-                        busy_exam[s] = i
-                        n_busy += 1
-                        break
-            elif victim >= 0:
-                e = busy_exam[victim]
-                remaining[e] = busy_until[victim] - t_arr
-                paused_at[e] = t_arr
-                qp_head -= 1
-                queue_plain[qp_head] = e
-                start[i] = t_arr
-                busy_until[victim] = t_arr + service[i]
-                busy_exam[victim] = i
-            elif use_priority and flagged[i]:
-                queue_flag[qf_tail] = i
-                qf_tail += 1
+    arr, svc, flg = memoryview(arrival), memoryview(service), memoryview(flagged)
+    out, susp = memoryview(start), memoryview(suspended)
+    busy = []  # heap of (busy_until, exam)
+    queue_flag = deque()
+    queue_plain = deque()
+    interrupted = {}  # exam -> (time it was interrupted, read time left)
+    for i in range(n + 1):
+        t = arr[i] if i < n else math.inf
+        while busy and busy[0][0] <= t:
+            t_done = busy[0][0]
+            if queue_flag:
+                nxt = queue_flag.popleft()
+            elif queue_plain:
+                nxt = queue_plain.popleft()
             else:
-                queue_plain[qp_tail] = i
-                qp_tail += 1
-            i += 1
+                heapq.heappop(busy)
+                continue
+            paused = interrupted.pop(nxt, None)
+            if paused is None:
+                out[nxt] = t_done
+                heapq.heapreplace(busy, (t_done + svc[nxt], nxt))
+            else:
+                paused_at, left = paused
+                susp[nxt] += t_done - paused_at
+                heapq.heapreplace(busy, (t_done + left, nxt))
+        if i == n:
+            break
+        if len(busy) < n_servers:
+            out[i] = t
+            heapq.heappush(busy, (t + svc[i], i))
+        elif not flg[i]:
+            queue_plain.append(i)
+        else:
+            victim = last = -1
+            if preempt:
+                for k, (_, e) in enumerate(busy):
+                    if e > last and not flg[e]:
+                        victim, last = k, e
+            if victim < 0:
+                queue_flag.append(i)
+                continue
+            until, e = busy[victim]
+            interrupted[e] = (t, until - t)
+            queue_plain.appendleft(e)
+            out[i] = t
+            busy[victim] = (t + svc[i], i)
+            heapq.heapify(busy)
     return start, suspended
-
-
-if njit is not None:
-    _serve_queue = njit(cache=True, nogil=True)(_serve_queue_impl)
-else:  # pragma: no cover
-    _serve_queue = _serve_queue_impl
 
 
 @dataclass(frozen=True)
@@ -224,15 +213,18 @@ def replay_stream(
     stream: PatientStream, n_servers: int, discipline: QueueDiscipline
 ) -> ExamOutcomes:
     """Serve a pre-drawn stream through the queue under one discipline."""
-    preempt = discipline is QueueDiscipline.AI_PRIORITY_PREEMPTIVE
-    start, suspended = _serve_queue(
-        stream.arrival,
-        stream.service,
-        stream.flagged,
-        int(n_servers),
-        preempt or discipline is QueueDiscipline.AI_PRIORITY,
-        preempt,
-    )
+    arrival = np.ascontiguousarray(stream.arrival, np.float64)
+    service = np.ascontiguousarray(stream.service, np.float64)
+    if discipline is QueueDiscipline.FIFO:
+        start, suspended = _serve_fifo(arrival, service, int(n_servers))
+    else:
+        start, suspended = _serve_priority(
+            arrival,
+            service,
+            np.ascontiguousarray(stream.flagged, np.bool_),
+            int(n_servers),
+            discipline is QueueDiscipline.AI_PRIORITY_PREEMPTIVE,
+        )
     return ExamOutcomes(
         stream.arrival, start, stream.service, stream.diseased, stream.flagged, suspended
     )
@@ -330,20 +322,27 @@ def run_replications(
     difference. The reported range is the (2.5th, 97.5th) percentile of
     per-trial savings. Results are bit-identical for any worker count:
     streams depend only on (master_seed, trial_index) and aggregation follows
-    trial order.
+    trial order. With workers > 1, trials run in up to that many processes
+    (never more than n_trials).
     """
     if n_trials < 2:
         raise ParameterError(f"n_trials must be >= 2, got {n_trials}")
-    indices = range(n_trials)
-
-    def trial(k: int) -> tuple[float, float, float]:
-        return _paired_trial(params, n_patients, master_seed, k, burn_in, discipline)
-
+    trial = partial(
+        _paired_trial, params, n_patients, master_seed, burn_in=burn_in, discipline=discipline
+    )
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(trial, indices))
+        # The kernels are plain Python and hold the interpreter lock, so
+        # trials fan out to processes; map() yields results in trial order.
+        # Workers fork from a single-threaded server that has imported this
+        # module once: a fresh import per worker (spawn) costs more CPU than
+        # a sweep point's trials, and a plain fork of a threaded caller is
+        # unsafe.
+        ctx = multiprocessing.get_context("forkserver")
+        ctx.set_forkserver_preload([__name__])
+        with ProcessPoolExecutor(max_workers=min(workers, n_trials), mp_context=ctx) as pool:
+            results = list(pool.map(trial, range(n_trials)))
     else:
-        results = [trial(k) for k in indices]
+        results = [trial(k) for k in range(n_trials)]
     savings = np.array([r[0] for r in results])
     low, high = np.percentile(savings, [2.5, 97.5])
     return SavingsEstimate(
@@ -364,6 +363,8 @@ def batch_mean_se(values: np.ndarray, n_batches: int = 25) -> float:
     queueing data.
     """
     values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        raise ParameterError(f"batch_mean_se needs >= 2 values, got {values.size}")
     if values.size < 2 * n_batches:
         n_batches = max(2, values.size // 2)
     usable = (values.size // n_batches) * n_batches

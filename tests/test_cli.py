@@ -268,6 +268,29 @@ class TestOracle:
         )
         assert code == 3
 
+    def test_compare_with_empty_class_exits_3(self, tmp_path, caplog):
+        # Class 1 is so rare that 200 simulated patients hold none of it:
+        # no z-score exists, so the command fails instead of writing nan.
+        code = cli.main(
+            [
+                "oracle",
+                "--arrival-rates",
+                "0.00001,0.5",
+                "--service-rate",
+                "1",
+                "--servers",
+                "1",
+                "--compare",
+                "--patients",
+                "200",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 3
+        assert "class1 sample has 0 exam(s)" in caplog.text
+        assert not (tmp_path / "oracle.csv").exists()
+
 
 class TestCompare:
     def test_layout_and_shift_recovery(self, corpus, tmp_path):

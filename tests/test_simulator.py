@@ -347,3 +347,11 @@ class TestBatchMeanSe:
 
     def test_short_series(self):
         assert batch_mean_se(np.arange(10.0)) > 0
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_values_rejected(self, n):
+        with pytest.raises(ParameterError):
+            batch_mean_se(np.arange(float(n)))
+
+    def test_two_values(self):
+        assert batch_mean_se(np.array([1.0, 3.0])) == 1.0

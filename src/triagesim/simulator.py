@@ -323,10 +323,18 @@ def run_replications(
     per-trial savings. Results are bit-identical for any worker count:
     streams depend only on (master_seed, trial_index) and aggregation follows
     trial order. With workers > 1, trials run in up to that many processes
-    (never more than n_trials).
+    (never more than n_trials), started from a forkserver. That needs a POSIX
+    platform, and a script that calls this at top level must put the call
+    under ``if __name__ == "__main__":``, since each worker imports the
+    caller's main module again.
     """
     if n_trials < 2:
         raise ParameterError(f"n_trials must be >= 2, got {n_trials}")
+    if workers > 1 and "forkserver" not in multiprocessing.get_all_start_methods():
+        raise ParameterError(
+            f"workers={workers} needs the forkserver start method, which this "
+            "platform lacks; use workers=1"
+        )
     trial = partial(
         _paired_trial, params, n_patients, master_seed, burn_in=burn_in, discipline=discipline
     )

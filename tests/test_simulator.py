@@ -279,6 +279,15 @@ class TestReplications:
         par = run_replications(params, 6, 4000, 23, workers=3)
         assert seq == par
 
+    def test_workers_without_forkserver_is_rejected(self, monkeypatch):
+        import triagesim.simulator as simulator
+
+        monkeypatch.setattr(simulator.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        with pytest.raises(ParameterError, match="forkserver"):
+            run_replications(make_params(), 4, 1000, 23, workers=2)
+        # One worker never starts a process, so it runs anywhere.
+        assert run_replications(make_params(), 4, 1000, 23, workers=1).n_trials == 4
+
     def test_range_and_mean_ordering(self):
         params = make_params()
         estimate = run_replications(params, 30, 4000, 31)

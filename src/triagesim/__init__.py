@@ -18,9 +18,7 @@ from .core import (
     QueueDiscipline,
     ReaderRole,
     WorkflowParams,
-    label_exam,
     mean_service_time,
-    sample_exponential,
     trial_stream,
 )
 from .errors import (
@@ -39,12 +37,7 @@ from .oracle import (
     mmc_priority_wait,
 )
 from .roc import BinormalRoc, auc, fit_from_point, roc_tpf, sample_operating_points
-from .simulator import (
-    SavingsEstimate,
-    TrialStats,
-    run_replications,
-    simulate_trial,
-)
+from .simulator import SavingsEstimate, run_replications
 from .stats import tat_summary, time_savings_test
 
 __all__ = [
@@ -64,22 +57,18 @@ __all__ = [
     "ReaderRole",
     "SavingsEstimate",
     "TriageSimError",
-    "TrialStats",
     "WorkflowParams",
     "analytic_time_savings",
     "auc",
     "erlang_c",
     "fit_from_point",
-    "label_exam",
     "mean_service_time",
     "mmc_fifo_wait",
     "mmc_preemptive_priority_wait",
     "mmc_priority_wait",
     "roc_tpf",
     "run_replications",
-    "sample_exponential",
     "sample_operating_points",
-    "simulate_trial",
     "tat_summary",
     "time_savings_test",
     "trial_stream",

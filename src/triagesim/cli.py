@@ -1,6 +1,6 @@
 """Command-line harness: estimate, sweep, roc-sweep, oracle, compare.
 
-Every command writes delimiter-separated tables plus a JSON metadata
+Every command writes comma-separated tables plus a JSON metadata
 companion (seed, grids, version) so a run can be reproduced exactly. Output
 is byte-identical for identical inputs and seed, regardless of worker count;
 nothing time- or host-dependent goes into the files.
@@ -570,32 +570,13 @@ def cmd_compare(args) -> int:
                 f"cohort {key}: need >= 2 diseased exams in each period, got "
                 f"{len(pre)} pre / {len(post)} post"
             )
-        s_pre = tat_summary(pre)
-        s_post = tat_summary(post)
+        row = [key]
+        for summary in (tat_summary(pre), tat_summary(post)):
+            cells = (summary.mean, *summary.ci95, *summary.percentiles)
+            row += [summary.n, *(_fmt(x) for x in cells)]
         welch = time_savings_test(pre, post)
-        rows.append(
-            (
-                key,
-                s_pre.n,
-                _fmt(s_pre.mean),
-                _fmt(s_pre.ci95[0]),
-                _fmt(s_pre.ci95[1]),
-                _fmt(s_pre.percentiles[0]),
-                _fmt(s_pre.percentiles[1]),
-                _fmt(s_pre.percentiles[2]),
-                s_post.n,
-                _fmt(s_post.mean),
-                _fmt(s_post.ci95[0]),
-                _fmt(s_post.ci95[1]),
-                _fmt(s_post.percentiles[0]),
-                _fmt(s_post.percentiles[1]),
-                _fmt(s_post.percentiles[2]),
-                _fmt(welch.diff_of_means),
-                _fmt(welch.ci95[0]),
-                _fmt(welch.ci95[1]),
-                _fmt(welch.p_one_sided),
-            )
-        )
+        row += [_fmt(x) for x in (welch.diff_of_means, *welch.ci95, welch.p_one_sided)]
+        rows.append(tuple(row))
     table = out / "compare.csv"
     _write_table(table, COMPARE_COLUMNS, rows)
     _write_metadata(

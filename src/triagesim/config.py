@@ -79,21 +79,3 @@ class AnalysisConfig:
         if values.get("boundary_date") is not None:
             values["boundary_date"] = _parse_date(values["boundary_date"])
         return cls(**values)
-
-    def to_dict(self) -> dict:
-        return {
-            "holidays": sorted(d.isoformat() for d in self.holidays),
-            "work_start": self.work_start.strftime("%H:%M"),
-            "work_end": self.work_end.strftime("%H:%M"),
-            "boundary_date": self.boundary_date.isoformat() if self.boundary_date else None,
-            "interarrival_bin_minutes": self.interarrival_bin_minutes,
-            "readtime_bin_minutes": self.readtime_bin_minutes,
-            "max_read_gap_minutes": self.max_read_gap_minutes,
-            "min_daily_closures": self.min_daily_closures,
-            "min_gaps_per_fit": self.min_gaps_per_fit,
-            "min_daily_gaps": self.min_daily_gaps,
-            "weighted_fits": self.weighted_fits,
-            "roc_slope": self.roc_slope,
-            "device_tpf": self.device_tpf,
-            "device_specificity": self.device_specificity,
-        }

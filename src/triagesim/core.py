@@ -156,23 +156,3 @@ def trial_stream(master_seed: int, trial_index: int = 0) -> np.random.Generator:
         raise ParameterError("seed and trial index must be non-negative")
     key = np.array([master_seed & _MASK64, trial_index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_exponential(mean: float, rng: np.random.Generator) -> float:
-    """One draw from an exponential distribution with the given mean (minutes)."""
-    if not mean > 0:
-        raise ParameterError(f"exponential mean must be > 0, got {mean}")
-    return float(rng.exponential(mean))
-
-
-def label_exam(params: WorkflowParams, rng: np.random.Generator) -> tuple[bool, bool]:
-    """Draw (is_diseased, ai_flag) for one arriving exam.
-
-    Disease status is Bernoulli(prevalence); the flag is Bernoulli(tpf) for
-    diseased exams and Bernoulli(fpf_adjusted) otherwise, independently
-    across exams.
-    """
-    is_diseased = rng.random() < params.prevalence
-    p_flag = params.device.tpf if is_diseased else params.device.fpf_adjusted
-    ai_flag = rng.random() < p_flag
-    return bool(is_diseased), bool(ai_flag)

@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import curve_fit
 
+from .config import AnalysisConfig
 from .core import Cohort, Diagnosis, ExamClass, Location, ReaderRole
 from .errors import FormatError, InsufficientDataError, ParameterError
 
@@ -42,9 +43,6 @@ EXAM_LOG_COLUMNS = (
     "location",
 )
 CLOSURE_LOG_COLUMNS = ("reader_id", "closed_at", "exam_class")
-
-WORK_START = time(8, 0)
-WORK_END = time(17, 0)
 
 
 @dataclass(frozen=True)
@@ -127,13 +125,13 @@ def _lookup(tokens: dict, raw: str, what: str):
         raise ValueError(f"unknown {what} {raw!r}") from None
 
 
-def _read_rows(path, expected_columns: tuple[str, ...], delimiter: str):
+def _read_rows(path, expected_columns: tuple[str, ...]):
     """Yield (line_number, field_list) after validating the header.
 
     An entirely empty file yields nothing; a wrong header is fatal.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
@@ -155,7 +153,7 @@ def _row_dict(row: list[str], expected_columns: tuple[str, ...]) -> dict[str, st
     return dict(zip(expected_columns, row))
 
 
-def ingest_exam_log(path, delimiter: str = ",") -> ExamLogIngest:
+def ingest_exam_log(path) -> ExamLogIngest:
     """Parse the exam report log, dropping rows whose TAT is negative.
 
     Negative TATs arise when a manually entered scan time postdates the
@@ -166,7 +164,7 @@ def ingest_exam_log(path, delimiter: str = ",") -> ExamLogIngest:
     n_negative = 0
     n_malformed = 0
     n_rows = 0
-    for line_no, raw in _read_rows(path, EXAM_LOG_COLUMNS, delimiter):
+    for line_no, raw in _read_rows(path, EXAM_LOG_COLUMNS):
         n_rows += 1
         try:
             row = _row_dict(raw, EXAM_LOG_COLUMNS)
@@ -190,12 +188,12 @@ def ingest_exam_log(path, delimiter: str = ",") -> ExamLogIngest:
     return ExamLogIngest(tuple(records), n_negative, n_malformed, n_rows)
 
 
-def ingest_closure_log(path, delimiter: str = ",") -> ClosureLogIngest:
+def ingest_closure_log(path) -> ClosureLogIngest:
     """Parse the case-closure log (reader, closure time, exam class)."""
     records: list[ClosureRecord] = []
     n_malformed = 0
     n_rows = 0
-    for line_no, raw in _read_rows(path, CLOSURE_LOG_COLUMNS, delimiter):
+    for line_no, raw in _read_rows(path, CLOSURE_LOG_COLUMNS):
         n_rows += 1
         try:
             row = _row_dict(raw, CLOSURE_LOG_COLUMNS)
@@ -215,8 +213,8 @@ def ingest_closure_log(path, delimiter: str = ",") -> ClosureLogIngest:
 def assign_cohort(
     t: datetime,
     holidays: frozenset[date] | set[date] = frozenset(),
-    work_start: time = WORK_START,
-    work_end: time = WORK_END,
+    work_start: time = AnalysisConfig.work_start,
+    work_end: time = AnalysisConfig.work_end,
 ) -> Cohort:
     """Work-hour iff a non-holiday weekday with local time in
     [work_start, work_end); everything else is off-hours."""
@@ -262,15 +260,12 @@ _MIN_OCCUPIED_BINS = 4
 
 
 def fit_exponential_histogram(
-    gaps: Sequence[float],
-    bin_width: float,
-    weighted: bool = False,
-    min_fit_samples: int = _MIN_FIT_SAMPLES,
+    gaps: Sequence[float], bin_width: float, weighted: bool = False
 ) -> HistogramFit:
     """Fit a * exp(-t / m) to the histogram of gaps (least squares).
 
     The curve fit only runs when the histogram can support it
-    (min_fit_samples gaps and several occupied bins); sparse histograms make
+    (_MIN_FIT_SAMPLES gaps and several occupied bins); sparse histograms make
     two-parameter nonlinear fits drift badly upward. Below the threshold, or
     when the optimizer fails or pins to its bounds, the sample mean is
     reported with the r-squared measured against the exponential shape it
@@ -297,7 +292,7 @@ def fit_exponential_histogram(
     # fit escaping a 3x band around the sample mean is noise, not signal.
     lo_m, hi_m = m_sample / 3.0, m_sample * 3.0
     sigma = np.sqrt(np.maximum(counts, 1.0)) / (n * bin_width) if weighted else None
-    converged = n >= min_fit_samples and int((counts > 0).sum()) >= _MIN_OCCUPIED_BINS
+    converged = n >= _MIN_FIT_SAMPLES and int((counts > 0).sum()) >= _MIN_OCCUPIED_BINS
     if converged:
         try:
             with warnings.catch_warnings():
@@ -343,8 +338,8 @@ def daily_interarrival_fits(
     bin_minutes: float = 1.0,
     min_gaps: int = 5,
     weighted: bool = False,
-    work_start: time = WORK_START,
-    work_end: time = WORK_END,
+    work_start: time = AnalysisConfig.work_start,
+    work_end: time = AnalysisConfig.work_end,
 ) -> list[ExponentialFit]:
     """Fit the daily inter-arrival distribution per (day, cohort).
 

@@ -10,82 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.special import ndtr, ndtri
+
 from .errors import ParameterError
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-
-# Acklam's rational approximation for the normal quantile (|rel err| < 1.2e-9
-# before refinement).
-_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_P_LOW = 0.02425
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via erfc; accurate to full double precision."""
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, Acklam initializer plus one Halley step.
-
-    The upper tail reflects into the lower one so the refinement always
-    evaluates the CDF where it is small and relatively accurate; computing
-    Phi(x) - p near p = 1 would lose most of the correction to cancellation.
-    """
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"quantile argument must be in (0, 1), got {p}")
-    if p > 0.5:
-        return -_quantile_lower_half(1.0 - p)
-    return _quantile_lower_half(p)
-
-
-def _quantile_lower_half(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    else:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5])
-            * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-        )
-    # One Halley refinement against the exact CDF.
-    e = normal_cdf(x) - p
-    u = e * _SQRT2PI * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
 
 
 @dataclass(frozen=True)
@@ -112,7 +39,7 @@ def fit_from_point(tpf: float, fpf: float, slope: float = 1.0) -> BinormalRoc:
         raise ParameterError(
             f"operating point must be interior to (0, 1)^2, got ({fpf}, {tpf})"
         )
-    a = normal_quantile(tpf) - slope * normal_quantile(fpf)
+    a = float(ndtri(tpf) - slope * ndtri(fpf))
     return BinormalRoc(a=a, b=slope)
 
 
@@ -124,12 +51,12 @@ def roc_tpf(curve: BinormalRoc, fpf: float) -> float:
         return 0.0
     if fpf == 1.0:
         return 1.0
-    return normal_cdf(curve.a + curve.b * normal_quantile(fpf))
+    return float(ndtr(curve.a + curve.b * ndtri(fpf)))
 
 
 def auc(curve: BinormalRoc) -> float:
     """Area under the bi-normal curve: Phi(a / sqrt(1 + b^2))."""
-    return normal_cdf(curve.a / math.sqrt(1.0 + curve.b * curve.b))
+    return float(ndtr(curve.a / math.sqrt(1.0 + curve.b * curve.b)))
 
 
 def sample_operating_points(curve: BinormalRoc, n: int) -> list[tuple[float, float]]:

@@ -178,22 +178,6 @@ class ExamOutcomes:
 
 
 @dataclass(frozen=True)
-class TrialStats:
-    """Aggregates of one trial. Means over empty groups are NaN."""
-
-    n_patients: int
-    n_diseased: int
-    n_flagged: int
-    mean_tat_diseased: float
-    mean_wait_diseased: float
-    mean_tat_all: float
-    mean_wait_all: float
-    mean_wait_flagged: float
-    mean_wait_unflagged: float
-    utilization_observed: float
-
-
-@dataclass(frozen=True)
 class SavingsEstimate:
     """Aggregated paired time-savings over replicated trials."""
 
@@ -234,55 +218,6 @@ def _mean(values: np.ndarray) -> float:
     return float(values.mean()) if values.size else float("nan")
 
 
-def simulate_trial(
-    params: WorkflowParams,
-    discipline: QueueDiscipline,
-    n_patients: int,
-    stream_seed: int | tuple[int, int],
-    burn_in: int = 0,
-) -> TrialStats:
-    """Simulate one trial of n_patients exams and return its aggregates.
-
-    stream_seed may be a bare integer (trial index 0) or a
-    (master_seed, trial_index) pair. Identical inputs give bit-identical
-    results. burn_in exams are simulated but excluded from the statistics.
-    """
-    if n_patients < 1:
-        raise ParameterError(f"n_patients must be >= 1, got {n_patients}")
-    if not 0 <= burn_in < n_patients:
-        raise ParameterError("burn_in must be in [0, n_patients)")
-    if isinstance(stream_seed, tuple):
-        master, index = stream_seed
-    else:
-        master, index = stream_seed, 0
-    rng = trial_stream(master, index)
-    stream = generate_stream(params, n_patients, rng)
-    out = replay_stream(stream, params.n_radiologists, discipline)
-    return _trial_stats(out, params.n_radiologists, burn_in)
-
-
-def _trial_stats(out: ExamOutcomes, n_servers: int, burn_in: int) -> TrialStats:
-    keep = slice(burn_in, None)
-    wait = out.wait[keep]
-    tat = out.tat[keep]
-    diseased = out.diseased[keep]
-    flagged = out.flagged[keep]
-    horizon = float(out.completion.max())
-    utilization = float(out.service.sum()) / (n_servers * horizon)
-    return TrialStats(
-        n_patients=int(wait.shape[0]),
-        n_diseased=int(diseased.sum()),
-        n_flagged=int(flagged.sum()),
-        mean_tat_diseased=_mean(tat[diseased]),
-        mean_wait_diseased=_mean(wait[diseased]),
-        mean_tat_all=_mean(tat),
-        mean_wait_all=_mean(wait),
-        mean_wait_flagged=_mean(wait[flagged]),
-        mean_wait_unflagged=_mean(wait[~flagged]),
-        utilization_observed=utilization,
-    )
-
-
 def _paired_trial(
     params: WorkflowParams,
     n_patients: int,
@@ -319,7 +254,8 @@ def run_replications(
 
     Each trial replays one patient stream under FIFO and under the given
     priority discipline; the per-trial saving is the diseased-exam mean TAT
-    difference. The reported range is the (2.5th, 97.5th) percentile of
+    difference. The first burn_in exams of each trial are replayed but left
+    out of that mean. The reported range is the (2.5th, 97.5th) percentile of
     per-trial savings. Results are bit-identical for any worker count:
     streams depend only on (master_seed, trial_index) and aggregation follows
     trial order. With workers > 1, trials run in up to that many processes
@@ -330,6 +266,8 @@ def run_replications(
     """
     if n_trials < 2:
         raise ParameterError(f"n_trials must be >= 2, got {n_trials}")
+    if not 0 <= burn_in < n_patients:
+        raise ParameterError(f"burn_in must be in [0, n_patients={n_patients}), got {burn_in}")
     if workers > 1 and "forkserver" not in multiprocessing.get_all_start_methods():
         raise ParameterError(
             f"workers={workers} needs the forkserver start method, which this "

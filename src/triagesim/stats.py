@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats as sps
 
-from .errors import InsufficientDataError, ParameterError
+from .errors import InsufficientDataError
 
 
 @dataclass(frozen=True)
@@ -63,28 +63,3 @@ def time_savings_test(pre: Sequence[float], post: Sequence[float]) -> WelchResul
     half = float(sps.t.ppf(0.975, dof) * se)
     p_one = float(sps.t.sf(diff / se, dof))
     return WelchResult(diff, (diff - half, diff + half), p_one, float(dof))
-
-
-def standardized_difference_means(
-    mean1: float, sd1: float, mean2: float, sd2: float
-) -> float:
-    """Standardized difference of two continuous group summaries:
-    (mean2 - mean1) / sqrt((sd1^2 + sd2^2) / 2)."""
-    if sd1 < 0 or sd2 < 0:
-        raise ParameterError("standard deviations must be >= 0")
-    denom = np.sqrt((sd1**2 + sd2**2) / 2.0)
-    if denom == 0:
-        raise ParameterError("pooled spread is zero: standardized difference undefined")
-    return float((mean2 - mean1) / denom)
-
-
-def standardized_difference_proportions(p1: float, p2: float) -> float:
-    """Standardized difference of two proportions:
-    (p2 - p1) / sqrt((p1 (1-p1) + p2 (1-p2)) / 2)."""
-    for p in (p1, p2):
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"proportions must be in [0, 1], got {p}")
-    denom = np.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / 2.0)
-    if denom == 0:
-        raise ParameterError("pooled spread is zero: standardized difference undefined")
-    return float((p2 - p1) / denom)

@@ -129,6 +129,10 @@ class TestSweep:
         assert filecmp.cmp(a / "sweep.csv", b / "sweep.csv", shallow=False)
         assert filecmp.cmp(a / "sweep.csv", c / "sweep.csv", shallow=False)
 
+    def test_burn_in_past_the_stream_exits_3(self, params_file, tmp_path):
+        assert self.run_sweep(params_file, tmp_path, extra=("--burn-in", "2000")) == 3
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_all_infeasible_exits_3(self, params_file, tmp_path):
         code = cli.main(
             [
@@ -316,6 +320,22 @@ class TestCompare:
         for row in rows:
             low, high = float(row["savings_ci_low"]), float(row["savings_ci_high"])
             assert low <= shift <= high
+
+    def test_stats_called_through_cli_names(self, corpus, tmp_path, monkeypatch):
+        # A caller that wraps cli.tat_summary or cli.time_savings_test, as
+        # the benchmark's tracer does, sees every call.
+        calls = []
+        for name in ("tat_summary", "time_savings_test"):
+            inner = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda *a, _fn=inner, _name=name: calls.append(_name) or _fn(*a)
+            )
+        root, _ = corpus
+        config = str(root / "config.yaml")
+        exam_log = str(root / "exam_log.csv")
+        argv = ["compare", "--exam-log", exam_log, "--config", config, "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert sorted(calls) == ["tat_summary"] * 4 + ["time_savings_test"] * 2
 
     def test_missing_boundary_exits_3(self, corpus, tmp_path):
         root, _ = corpus

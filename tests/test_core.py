@@ -1,17 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import triagesim
 from triagesim import (
     DeviceOperatingPoint,
     InfeasibleParametersError,
     ParameterError,
     WorkflowParams,
-    label_exam,
     mean_service_time,
-    sample_exponential,
     trial_stream,
 )
+from triagesim.simulator import generate_stream
 
 
 def make_params(**overrides):
@@ -88,36 +90,43 @@ class TestTrialStream:
 
 
 class TestSampleExponential:
-    def test_reproducible_and_positive(self):
-        x = sample_exponential(2.17, trial_stream(11))
-        y = sample_exponential(2.17, trial_stream(11))
-        assert x == y and x > 0
+    """Exponential read times as generate_stream draws them: a unit draw per
+    exam, scaled by the mean of the exam's label."""
 
-    def test_rejects_nonpositive_mean(self):
-        rng = trial_stream(0)
-        with pytest.raises(ParameterError):
-            sample_exponential(0.0, rng)
-        with pytest.raises(ParameterError):
-            sample_exponential(-1.0, rng)
+    def test_reproducible_and_positive(self):
+        params = make_params(prevalence=0.5, mean_interarrival=13.0)
+        a = generate_stream(params, 1000, trial_stream(11))
+        b = generate_stream(params, 1000, trial_stream(11))
+        for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)):
+            assert np.array_equal(x, y)
+        assert a.service.min() > 0
+        assert np.diff(a.arrival).min() > 0
 
     def test_large_sample_mean_and_shape(self):
-        rng = trial_stream(101)
-        draws = np.array([sample_exponential(1.0, rng) for _ in range(1_000_000)])
-        assert draws.min() > 0
-        assert 0.99 <= draws.mean() <= 1.01
-        ks = sps.kstest(draws, "expon", args=(0, 1.0)).statistic
-        assert ks <= 0.01
+        params = make_params(prevalence=0.5, mean_interarrival=13.0)
+        stream = generate_stream(params, 1_000_000, trial_stream(101))
+        for mask, mean in (
+            (stream.diseased, params.read_time_diseased),
+            (~stream.diseased, params.read_time_nondiseased_effective),
+        ):
+            draws = stream.service[mask] / mean
+            assert draws.min() > 0
+            assert 0.99 <= draws.mean() <= 1.01
+            ks = sps.kstest(draws, "expon", args=(0, 1.0)).statistic
+            assert ks <= 0.01
 
 
 class TestLabelExam:
+    """Disease labels and AI flags as generate_stream draws them."""
+
     def test_degenerate_probabilities(self):
-        rng = trial_stream(0)
         sure = make_params(prevalence=1.0, mean_interarrival=13.0,
                            device=DeviceOperatingPoint(1.0, 0.0))
         never = make_params(prevalence=0.0, device=DeviceOperatingPoint(1.0, 0.0))
-        for _ in range(200):
-            assert label_exam(sure, rng) == (True, True)
-            assert label_exam(never, rng) == (False, False)
+        stream = generate_stream(sure, 200, trial_stream(0))
+        assert stream.diseased.all() and stream.flagged.all()
+        stream = generate_stream(never, 200, trial_stream(0))
+        assert not stream.diseased.any() and not stream.flagged.any()
 
     @pytest.mark.parametrize(
         "prevalence,tpf,fpf",
@@ -130,21 +139,21 @@ class TestLabelExam:
             mean_interarrival=13.0,
             device=DeviceOperatingPoint(tpf, fpf),
         )
-        rng = trial_stream(77)
-        draws = [label_exam(params, rng) for _ in range(n)]
-        observed_diseased = sum(d for d, _ in draws) / n
-        observed_flagged = sum(f for _, f in draws) / n
+        stream = generate_stream(params, n, trial_stream(77))
         se_d = np.sqrt(prevalence * (1 - prevalence) / n)
-        p_flag = prevalence * tpf + (1 - prevalence) * fpf
+        p_flag = params.flag_probability
         se_f = np.sqrt(p_flag * (1 - p_flag) / n)
-        assert abs(observed_diseased - prevalence) <= 3 * se_d
-        assert abs(observed_flagged - p_flag) <= 3 * se_f
+        assert abs(stream.diseased.mean() - prevalence) <= 3 * se_d
+        assert abs(stream.flagged.mean() - p_flag) <= 3 * se_f
 
     def test_flag_rate_at_device_point_large_sample(self):
         n = 1_000_000
         params = make_params()
-        rng = trial_stream(5)
-        flagged = sum(label_exam(params, rng)[1] for _ in range(n))
+        stream = generate_stream(params, n, trial_stream(5))
         p_flag = params.flag_probability
         se = np.sqrt(p_flag * (1 - p_flag) / n)
-        assert abs(flagged / n - p_flag) <= 3 * se
+        assert abs(stream.flagged.mean() - p_flag) <= 3 * se
+
+
+def test_every_exported_name_resolves():
+    assert all(hasattr(triagesim, name) for name in triagesim.__all__)

@@ -3,39 +3,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from triagesim import ParameterError, auc, fit_from_point, roc_tpf, sample_operating_points
-from triagesim.roc import BinormalRoc, normal_cdf, normal_quantile
-
-
-class TestNormalFunctions:
-    def test_cdf_matches_reference(self):
-        xs = np.linspace(-8, 8, 401)
-        for x in xs:
-            assert normal_cdf(float(x)) == pytest.approx(float(ndtr(x)), abs=1e-13)
-
-    def test_quantile_matches_reference(self):
-        ps = np.concatenate(
-            [
-                np.logspace(-8, -2, 40),
-                np.linspace(0.01, 0.99, 99),
-                1 - np.logspace(-8, -2, 40),
-            ]
-        )
-        for p in ps:
-            assert normal_quantile(float(p)) == pytest.approx(
-                float(ndtri(p)), abs=1e-10
-            )
-
-    def test_round_trip_to_1e_12(self):
-        ps = np.concatenate(
-            [np.logspace(-8, -1, 60), np.linspace(0.1, 0.9, 33), 1 - np.logspace(-8, -1, 60)]
-        )
-        for p in ps:
-            assert abs(normal_cdf(normal_quantile(float(p))) - p) <= 1e-12
-
-    def test_quantile_domain(self):
-        for p in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(ParameterError):
-                normal_quantile(p)
+from triagesim.roc import BinormalRoc
 
 
 class TestFitFromPoint:

@@ -10,7 +10,6 @@ from triagesim import (
     WorkflowParams,
     mmc_fifo_wait,
     run_replications,
-    simulate_trial,
     trial_stream,
 )
 from triagesim.simulator import PatientStream, batch_mean_se, generate_stream, replay_stream
@@ -43,11 +42,9 @@ def hand_stream(arrival, service, flagged):
     )
 
 
-def assert_stats_equal(a, b):
-    # Field-wise bit equality, with NaN == NaN for empty-group means.
-    assert np.array_equal(
-        np.array(dataclasses.astuple(a)), np.array(dataclasses.astuple(b)), equal_nan=True
-    )
+def assert_outcomes_equal(a, b):
+    for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)):
+        assert np.array_equal(x, y)
 
 
 class TestSingleTrial:
@@ -59,19 +56,17 @@ class TestSingleTrial:
         assert np.all(out.wait == 0.0)
         diseased_tat = out.tat[out.diseased]
         se = 12.0 / np.sqrt(diseased_tat.size)
-        stats = simulate_trial(params, QueueDiscipline.FIFO, 5000, (3, 0))
-        assert stats.mean_wait_diseased == 0.0
         params_reads = make_params(
             n_radiologists=50, prevalence=0.5, read_time_diseased=12.0
         )
-        stats = simulate_trial(params_reads, QueueDiscipline.FIFO, 5000, (3, 0))
-        assert abs(stats.mean_tat_diseased - 12.0) <= 3 * se
+        out = outcomes(params_reads, QueueDiscipline.FIFO, 5000)
+        assert abs(out.tat[out.diseased].mean() - 12.0) <= 3 * se
 
     def test_disciplines_identical_when_nothing_flagged(self):
         params = make_params(device=DeviceOperatingPoint(0.0, 0.0))
-        fifo = simulate_trial(params, QueueDiscipline.FIFO, 20_000, (9, 4))
-        prio = simulate_trial(params, QueueDiscipline.AI_PRIORITY, 20_000, (9, 4))
-        assert_stats_equal(fifo, prio)
+        fifo = outcomes(params, QueueDiscipline.FIFO, 20_000, (9, 4))
+        prio = outcomes(params, QueueDiscipline.AI_PRIORITY, 20_000, (9, 4))
+        assert_outcomes_equal(fifo, prio)
 
     def test_mm1_wait_matches_closed_form(self):
         # prevalence 1 makes it a plain M/M/1 with mean service 6 against
@@ -89,28 +84,42 @@ class TestSingleTrial:
 
     def test_bit_identical_repetition(self):
         params = make_params()
-        a = simulate_trial(params, QueueDiscipline.AI_PRIORITY, 10_000, (7, 2))
-        b = simulate_trial(params, QueueDiscipline.AI_PRIORITY, 10_000, (7, 2))
-        assert a == b
+        a = outcomes(params, QueueDiscipline.AI_PRIORITY, 10_000, (7, 2))
+        b = outcomes(params, QueueDiscipline.AI_PRIORITY, 10_000, (7, 2))
+        assert_outcomes_equal(a, b)
+        again = run_replications(params, 2, 10_000, 7)
+        assert run_replications(params, 2, 10_000, 7) == again
 
     def test_utilization_bounds(self):
-        stats = simulate_trial(make_params(), QueueDiscipline.FIFO, 20_000, 1)
-        assert 0.0 < stats.utilization_observed < 1.0
-        assert stats.mean_tat_diseased >= stats.mean_wait_diseased
+        params = make_params()
+        out = outcomes(params, QueueDiscipline.FIFO, 20_000, (1, 0))
+        busy = out.service.sum() / (params.n_radiologists * out.completion.max())
+        assert 0.0 < busy < 1.0
+        assert out.tat[out.diseased].mean() >= out.wait[out.diseased].mean()
 
     def test_validation(self):
         params = make_params()
         with pytest.raises(ParameterError):
-            simulate_trial(params, QueueDiscipline.FIFO, 0, 1)
-        with pytest.raises(ParameterError):
-            simulate_trial(params, QueueDiscipline.FIFO, 10, 1, burn_in=10)
+            run_replications(params, 2, 0, 1)
         with pytest.raises(ParameterError):
             run_replications(params, 1, 100, 1)
+        for burn_in in (-1, 10):
+            with pytest.raises(ParameterError, match="burn_in"):
+                run_replications(params, 2, 10, 1, burn_in=burn_in)
 
     def test_burn_in_excluded_from_counts(self):
+        # Trial k's saving is the mean over the diseased exams after the
+        # first burn_in exams of its stream, and over no others.
         params = make_params()
-        stats = simulate_trial(params, QueueDiscipline.FIFO, 5000, 1, burn_in=1000)
-        assert stats.n_patients == 4000
+        estimate = run_replications(params, 2, 5000, 1, burn_in=1000)
+        stream = generate_stream(params, 5000, trial_stream(1, 1))
+        fifo = replay_stream(stream, params.n_radiologists, QueueDiscipline.FIFO)
+        prio = replay_stream(stream, params.n_radiologists, QueueDiscipline.AI_PRIORITY)
+        saved = (fifo.tat - prio.tat)[stream.diseased]
+        kept = stream.diseased[1000:].sum()
+        assert 0 < kept < stream.diseased.sum()
+        assert estimate.per_trial_savings[1] == float(saved[-kept:].mean())
+        assert estimate.per_trial_savings[1] != float(saved.mean())
 
 
 class TestQueueInvariants:

@@ -4,11 +4,6 @@ from scipy import stats as sps
 
 from triagesim import InsufficientDataError, tat_summary, time_savings_test
 from triagesim.core import trial_stream
-from triagesim.stats import (
-    standardized_difference_means,
-    standardized_difference_proportions,
-)
-from triagesim.errors import ParameterError
 
 
 def with_exact_moments(values, mean, sd):
@@ -98,30 +93,3 @@ class TestTimeSavingsTest:
     def test_requires_two_values_each(self):
         with pytest.raises(InsufficientDataError):
             time_savings_test([1.0], [1.0, 2.0])
-
-
-class TestStandardizedDifference:
-    def test_equal_groups_zero(self):
-        assert standardized_difference_means(10.0, 2.0, 10.0, 2.0) == 0.0
-        assert standardized_difference_proportions(0.3, 0.3) == 0.0
-
-    def test_unit_case(self):
-        assert standardized_difference_means(0.0, 1.0, 1.0, 1.0) == pytest.approx(1.0)
-
-    def test_age_example(self):
-        # 53.7 +- 18.4 vs 54.9 +- 18.2 under the standard two-sample formula.
-        value = standardized_difference_means(53.7, 18.4, 54.9, 18.2)
-        assert value == pytest.approx(0.0656, abs=1e-4)
-
-    def test_proportion_formula(self):
-        value = standardized_difference_proportions(0.637, 0.607)
-        expected = (0.607 - 0.637) / np.sqrt((0.637 * 0.363 + 0.607 * 0.393) / 2)
-        assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ParameterError):
-            standardized_difference_means(1.0, 0.0, 2.0, 0.0)
-        with pytest.raises(ParameterError):
-            standardized_difference_proportions(0.0, 1.0)
-        with pytest.raises(ParameterError):
-            standardized_difference_proportions(-0.1, 0.5)

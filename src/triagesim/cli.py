@@ -18,6 +18,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import AnalysisConfig
 from .core import (
@@ -36,9 +38,11 @@ from .errors import (
     TriageSimError,
 )
 from .estimation import (
-    assign_cohort,
-    daily_interarrival_fits,
+    WORK_BLOCK,
     adjusted_fpf,
+    cohort_blocks,
+    daily_interarrival_fits,
+    day_number,
     effective_nondiseased_read_time,
     estimate_read_times,
     ingest_closure_log,
@@ -157,17 +161,19 @@ def cmd_estimate(args) -> int:
     missing: list[str] = []
 
     exam = ingest_exam_log(args.exam_log)
-    n_positive = sum(1 for r in exam.records if r.diagnosis is Diagnosis.POSITIVE)
+    n_positive = exam.diagnosis.count(Diagnosis.POSITIVE)
     doc["diagnostics"]["exam_log"] = {
         "n_rows": exam.n_rows,
         "n_excluded_negative_tat": exam.n_excluded_negative,
+        "n_duplicate_exam_id": exam.n_duplicate_exam_id,
         "n_malformed": exam.n_malformed,
-        "n_retained": len(exam.records),
+        "n_retained": len(exam.exam_id),
         "n_positive": n_positive,
     }
 
     fits = daily_interarrival_fits(
-        exam.records,
+        exam.scan_utc_us,
+        exam.scan_wall_us,
         cfg.holidays,
         bin_minutes=cfg.interarrival_bin_minutes,
         min_gaps=cfg.min_daily_gaps,
@@ -184,9 +190,9 @@ def cmd_estimate(args) -> int:
 
     if args.closure_log:
         closures = ingest_closure_log(args.closure_log)
-        roles = {r.reader_id: r.reader_role for r in exam.records}
+        roles = dict(zip(exam.reader_id, exam.reader_role))
         readtimes = estimate_read_times(
-            closures.records,
+            closures,
             roles,
             max_gap_minutes=cfg.max_read_gap_minutes,
             min_daily_closures=cfg.min_daily_closures,
@@ -194,10 +200,8 @@ def cmd_estimate(args) -> int:
             bin_minutes=cfg.readtime_bin_minutes,
             weighted=cfg.weighted_fits,
         )
-        class_counts = {c.value: 0 for c in ExamClass}
-        for record in closures.records:
-            class_counts[record.exam_class.value] += 1
-        n_queue_total = len(closures.records)
+        class_counts = {c.value: closures.exam_class.count(c) for c in ExamClass}
+        n_queue_total = len(closures.exam_class)
         doc["counts"] = {
             "n_diseased": n_positive,
             "n_queue_total": n_queue_total,
@@ -553,18 +557,17 @@ def cmd_compare(args) -> int:
             "config must supply boundary_date (first day of the post period)"
         )
     exam = ingest_exam_log(args.exam_log)
-    positives = [r for r in exam.records if r.diagnosis is Diagnosis.POSITIVE]
+    positive = np.fromiter(
+        (d is Diagnosis.POSITIVE for d in exam.diagnosis), dtype=bool, count=len(exam.diagnosis)
+    )
+    day, block = cohort_blocks(exam.scan_wall_us, cfg.holidays, cfg.work_start, cfg.work_end)
+    work = block == WORK_BLOCK
+    after = day >= day_number(cfg.boundary_date)
 
     rows = []
-    for cohort, key in ((Cohort.WORK_HOUR, "work"), (Cohort.OFF_HOUR, "off")):
-        in_cohort = [
-            r
-            for r in positives
-            if assign_cohort(r.scan_completed_at, cfg.holidays, cfg.work_start, cfg.work_end)
-            is cohort
-        ]
-        pre = [r.tat_minutes for r in in_cohort if r.scan_completed_at.date() < cfg.boundary_date]
-        post = [r.tat_minutes for r in in_cohort if r.scan_completed_at.date() >= cfg.boundary_date]
+    for in_cohort, key in ((positive & work, "work"), (positive & ~work, "off")):
+        pre = exam.tat_minutes[in_cohort & ~after]
+        post = exam.tat_minutes[in_cohort & after]
         if len(pre) < 2 or len(post) < 2:
             raise InsufficientDataError(
                 f"cohort {key}: need >= 2 diseased exams in each period, got "
@@ -587,6 +590,7 @@ def cmd_compare(args) -> int:
             "exam_log": os.path.basename(args.exam_log),
             "n_rows": exam.n_rows,
             "n_excluded_negative_tat": exam.n_excluded_negative,
+            "n_duplicate_exam_id": exam.n_duplicate_exam_id,
         },
     )
     print(f"wrote {table}")

@@ -20,9 +20,10 @@ from __future__ import annotations
 import csv
 import logging
 import warnings
+from array import array
 from dataclasses import dataclass, field
-from datetime import date, datetime, time
-from typing import Iterable, Mapping, Sequence
+from datetime import date, datetime, time, timedelta, timezone
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -45,48 +46,65 @@ EXAM_LOG_COLUMNS = (
 CLOSURE_LOG_COLUMNS = ("reader_id", "closed_at", "exam_class")
 
 
-@dataclass(frozen=True)
-class ExamRecord:
-    exam_id: str
-    scan_completed_at: datetime
-    report_signed_at: datetime
-    reader_id: str
-    reader_role: ReaderRole
-    diagnosis: Diagnosis
-    location: Location
-
-    @property
-    def tat_minutes(self) -> float:
-        return (self.report_signed_at - self.scan_completed_at).total_seconds() / 60.0
-
-
-@dataclass(frozen=True)
-class ClosureRecord:
-    reader_id: str
-    closed_at: datetime
-    exam_class: ExamClass
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExamLogIngest:
-    records: tuple[ExamRecord, ...]
+    """The retained rows of an exam report log, one column per field.
+
+    Times are int64 microseconds: since the Unix epoch in UTC, and the same
+    instant on the wall clock of the row's own zone offset, which decides its
+    day and cohort. Every non-blank row is counted once: n_rows = retained +
+    n_excluded_negative + n_duplicate_exam_id + n_malformed.
+    """
+
+    exam_id: tuple[str, ...]
+    scan_utc_us: np.ndarray
+    scan_wall_us: np.ndarray
+    tat_minutes: np.ndarray
+    reader_id: tuple[str, ...]
+    reader_role: tuple[ReaderRole, ...]
+    diagnosis: tuple[Diagnosis, ...]
+    location: tuple[Location, ...]
     n_excluded_negative: int
+    n_duplicate_exam_id: int
     n_malformed: int
     n_rows: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosureLogIngest:
-    records: tuple[ClosureRecord, ...]
+    """The parsed rows of a case-closure log, one column per field, with
+    times as in ExamLogIngest."""
+
+    reader_id: tuple[str, ...]
+    closed_utc_us: np.ndarray
+    closed_wall_us: np.ndarray
+    exam_class: tuple[ExamClass, ...]
     n_malformed: int
     n_rows: int
+
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+_US = timedelta(microseconds=1)
+_US_PER_DAY = 86_400 * 10**6
 
 
 def _parse_timestamp(raw: str) -> datetime:
-    parsed = datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
+    try:
+        parsed = datetime.fromisoformat(raw)
+    except ValueError:
+        parsed = datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
     if parsed.tzinfo is None:
         raise ValueError(f"timestamp {raw!r} has no zone offset")
     return parsed
+
+
+class _Offsets(dict):
+    """Zone -> its UTC offset in microseconds, computed once per zone."""
+
+    def __missing__(self, zone):
+        offset = self[zone] = zone.utcoffset(None) // _US
+        return offset
 
 
 def _normalize_token(raw: str) -> str:
@@ -118,15 +136,26 @@ _CLASS_TOKENS = {
 }
 
 
-def _lookup(tokens: dict, raw: str, what: str):
-    try:
-        return tokens[_normalize_token(raw)]
-    except KeyError:
-        raise ValueError(f"unknown {what} {raw!r}") from None
+class _Tokens(dict):
+    """Raw cell -> enum member for one column; each distinct raw string is
+    normalised once, and an unknown one raises ValueError."""
+
+    def __init__(self, tokens: dict, what: str):
+        super().__init__()
+        self.tokens = tokens
+        self.what = what
+
+    def __missing__(self, raw: str):
+        try:
+            member = self.tokens[_normalize_token(raw)]
+        except KeyError:
+            raise ValueError(f"unknown {self.what} {raw!r}") from None
+        self[raw] = member
+        return member
 
 
 def _read_rows(path, expected_columns: tuple[str, ...]):
-    """Yield (line_number, field_list) after validating the header.
+    """Yield (line_number, field_list) for every row after the header.
 
     An entirely empty file yields nothing; a wrong header is fatal.
     """
@@ -141,107 +170,170 @@ def _read_rows(path, expected_columns: tuple[str, ...]):
             raise FormatError(
                 f"{path}: expected columns {expected_columns}, found {names}"
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            yield line_no, row
+        yield from enumerate(reader, start=2)
 
 
-def _row_dict(row: list[str], expected_columns: tuple[str, ...]) -> dict[str, str]:
+def _malformed(path, line_no: int, row: list[str], exc: ValueError) -> bool:
+    """Whether a row that failed to parse counts as malformed, in which case
+    it is logged; an all-blank row does not count."""
+    if not any(cell.strip() for cell in row):
+        return False
+    log.warning("%s line %d: skipping malformed row (%s)", path, line_no, exc)
+    return True
+
+
+def _fields(row: list[str], expected_columns: tuple[str, ...]) -> list[str]:
     if len(row) != len(expected_columns):
         raise ValueError(f"expected {len(expected_columns)} fields, found {len(row)}")
-    return dict(zip(expected_columns, row))
+    return row
 
 
 def ingest_exam_log(path) -> ExamLogIngest:
-    """Parse the exam report log, dropping rows whose TAT is negative.
+    """Parse the exam report log into columns.
 
-    Negative TATs arise when a manually entered scan time postdates the
-    automatically captured report time; they are counted, not kept. Rows
-    that fail to parse are logged with their line number and skipped.
+    Rows that fail to parse are logged with their line number and skipped;
+    all-blank rows are skipped uncounted. A row whose exam_id an earlier
+    parsed row already had is excluded as a duplicate. Negative TATs arise
+    when a manually entered scan time postdates the automatically captured
+    report time; those rows are counted, not kept.
     """
-    records: list[ExamRecord] = []
-    n_negative = 0
-    n_malformed = 0
-    n_rows = 0
-    for line_no, raw in _read_rows(path, EXAM_LOG_COLUMNS):
-        n_rows += 1
+    roles = _Tokens(_ROLE_TOKENS, "reader role")
+    diagnoses = _Tokens(_DIAGNOSIS_TOKENS, "diagnosis")
+    locations = _Tokens(_LOCATION_TOKENS, "location")
+    offsets = _Offsets()
+    exam_ids: list[str] = []
+    reader_ids: list[str] = []
+    role_col: list[ReaderRole] = []
+    diagnosis_col: list[Diagnosis] = []
+    location_col: list[Location] = []
+    scan_utc, scan_wall, tat_us = array("q"), array("q"), array("q")
+    seen: set[str] = set()
+    n_blank = n_malformed = n_duplicate = n_negative = 0
+    line_no = 1
+    for line_no, row in _read_rows(path, EXAM_LOG_COLUMNS):
         try:
-            row = _row_dict(raw, EXAM_LOG_COLUMNS)
-            record = ExamRecord(
-                exam_id=row["exam_id"].strip(),
-                scan_completed_at=_parse_timestamp(row["scan_completed_at"]),
-                report_signed_at=_parse_timestamp(row["report_signed_at"]),
-                reader_id=row["reader_id"].strip(),
-                reader_role=_lookup(_ROLE_TOKENS, row["reader_role"], "reader role"),
-                diagnosis=_lookup(_DIAGNOSIS_TOKENS, row["diagnosis"], "diagnosis"),
-                location=_lookup(_LOCATION_TOKENS, row["location"], "location"),
+            exam_id, scan, signed, reader_id, role, diagnosis, location = _fields(
+                row, EXAM_LOG_COLUMNS
             )
+            scan = _parse_timestamp(scan)
+            signed = _parse_timestamp(signed)
+            role = roles[role]
+            diagnosis = diagnoses[diagnosis]
+            location = locations[location]
         except ValueError as exc:
-            n_malformed += 1
-            log.warning("%s line %d: skipping malformed row (%s)", path, line_no, exc)
+            if _malformed(path, line_no, row, exc):
+                n_malformed += 1
+            else:
+                n_blank += 1
             continue
-        if record.tat_minutes < 0:
+        exam_id = exam_id.strip()
+        if exam_id in seen:
+            n_duplicate += 1
+            continue
+        seen.add(exam_id)
+        tat = (signed - scan) // _US
+        if tat < 0:
             n_negative += 1
             continue
-        records.append(record)
-    return ExamLogIngest(tuple(records), n_negative, n_malformed, n_rows)
+        utc = (scan - _EPOCH) // _US
+        scan_utc.append(utc)
+        scan_wall.append(utc + offsets[scan.tzinfo])
+        tat_us.append(tat)
+        exam_ids.append(exam_id)
+        reader_ids.append(reader_id.strip())
+        role_col.append(role)
+        diagnosis_col.append(diagnosis)
+        location_col.append(location)
+    return ExamLogIngest(
+        exam_id=tuple(exam_ids),
+        scan_utc_us=np.frombuffer(scan_utc, np.int64),
+        scan_wall_us=np.frombuffer(scan_wall, np.int64),
+        tat_minutes=np.frombuffer(tat_us, np.int64) / 1e6 / 60.0,
+        reader_id=tuple(reader_ids),
+        reader_role=tuple(role_col),
+        diagnosis=tuple(diagnosis_col),
+        location=tuple(location_col),
+        n_excluded_negative=n_negative,
+        n_duplicate_exam_id=n_duplicate,
+        n_malformed=n_malformed,
+        n_rows=line_no - 1 - n_blank,
+    )
 
 
 def ingest_closure_log(path) -> ClosureLogIngest:
-    """Parse the case-closure log (reader, closure time, exam class)."""
-    records: list[ClosureRecord] = []
-    n_malformed = 0
-    n_rows = 0
-    for line_no, raw in _read_rows(path, CLOSURE_LOG_COLUMNS):
-        n_rows += 1
+    """Parse the case-closure log (reader, closure time, exam class) into
+    columns, skipping rows as ingest_exam_log does."""
+    classes = _Tokens(_CLASS_TOKENS, "exam class")
+    offsets = _Offsets()
+    reader_ids: list[str] = []
+    class_col: list[ExamClass] = []
+    closed_utc, closed_wall = array("q"), array("q")
+    n_blank = n_malformed = 0
+    line_no = 1
+    for line_no, row in _read_rows(path, CLOSURE_LOG_COLUMNS):
         try:
-            row = _row_dict(raw, CLOSURE_LOG_COLUMNS)
-            records.append(
-                ClosureRecord(
-                    reader_id=row["reader_id"].strip(),
-                    closed_at=_parse_timestamp(row["closed_at"]),
-                    exam_class=_lookup(_CLASS_TOKENS, row["exam_class"], "exam class"),
-                )
-            )
+            reader_id, closed, exam_class = _fields(row, CLOSURE_LOG_COLUMNS)
+            closed = _parse_timestamp(closed)
+            exam_class = classes[exam_class]
         except ValueError as exc:
-            n_malformed += 1
-            log.warning("%s line %d: skipping malformed row (%s)", path, line_no, exc)
-    return ClosureLogIngest(tuple(records), n_malformed, n_rows)
+            if _malformed(path, line_no, row, exc):
+                n_malformed += 1
+            else:
+                n_blank += 1
+            continue
+        utc = (closed - _EPOCH) // _US
+        closed_utc.append(utc)
+        closed_wall.append(utc + offsets[closed.tzinfo])
+        reader_ids.append(reader_id.strip())
+        class_col.append(exam_class)
+    return ClosureLogIngest(
+        reader_id=tuple(reader_ids),
+        closed_utc_us=np.frombuffer(closed_utc, np.int64),
+        closed_wall_us=np.frombuffer(closed_wall, np.int64),
+        exam_class=tuple(class_col),
+        n_malformed=n_malformed,
+        n_rows=line_no - 1 - n_blank,
+    )
 
 
-def assign_cohort(
-    t: datetime,
+# Cohort blocks of a day: off-hours before work_start (or the whole of a
+# weekend day or holiday), work hours, and off-hours from work_end on.
+WORK_BLOCK = 1
+
+
+def day_number(d: date) -> int:
+    """Days since 1970-01-01, the day numbers cohort_blocks returns."""
+    return d.toordinal() - _EPOCH_ORDINAL
+
+
+def cohort_blocks(
+    wall_us: np.ndarray,
     holidays: frozenset[date] | set[date] = frozenset(),
     work_start: time = AnalysisConfig.work_start,
     work_end: time = AnalysisConfig.work_end,
-) -> Cohort:
-    """Work-hour iff a non-holiday weekday with local time in
-    [work_start, work_end); everything else is off-hours."""
-    if t.weekday() >= 5 or t.date() in holidays:
-        return Cohort.OFF_HOUR
-    if work_start <= t.time() < work_end:
-        return Cohort.WORK_HOUR
-    return Cohort.OFF_HOUR
+) -> tuple[np.ndarray, np.ndarray]:
+    """Day number (see day_number) and cohort block of each wall-clock time,
+    in microseconds.
 
-
-def _segment_key(
-    t: datetime, holidays, work_start: time, work_end: time
-) -> tuple[date, Cohort, int]:
-    """Identify the contiguous cohort block a timestamp falls in.
-
-    Weekday off-hours split into a morning block and an evening block so
-    that no gap ever spans the working day; nothing spans midnight either.
+    A time is in the work-hour cohort iff its block is WORK_BLOCK: a
+    non-holiday weekday with local time in [work_start, work_end). Weekday
+    off-hours split into a morning block 0 and an evening block 2 so that no
+    gap ever spans the working day; nothing spans midnight either.
     """
-    d = t.date()
-    if t.weekday() >= 5 or d in holidays:
-        return d, Cohort.OFF_HOUR, 0
-    clock = t.time()
-    if clock < work_start:
-        return d, Cohort.OFF_HOUR, 0
-    if clock < work_end:
-        return d, Cohort.WORK_HOUR, 1
-    return d, Cohort.OFF_HOUR, 2
+    wall = np.asarray(wall_us, dtype=np.int64)
+    day = wall // _US_PER_DAY
+    clock = wall - day * _US_PER_DAY
+    start, end = (
+        ((t.hour * 60 + t.minute) * 60 + t.second) * 10**6 + t.microsecond
+        for t in (work_start, work_end)
+    )
+    block = np.where(clock < start, 0, np.where(clock < end, WORK_BLOCK, 2))
+    # 1970-01-01 was a Thursday, weekday 3.
+    off_day = (day + 3) % 7 >= 5
+    if holidays:
+        off_day |= np.isin(day, [day_number(d) for d in holidays])
+    block[off_day] = 0
+    return day, block
 
 
 @dataclass(frozen=True)
@@ -331,46 +423,57 @@ class ExponentialFit:
     n: int
 
 
+def _runs(keys: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of equal values in keys."""
+    if keys.size == 0:
+        return []
+    edges = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    bounds = [0, *edges.tolist(), int(keys.size)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def daily_interarrival_fits(
-    records: Iterable,
+    utc_us: np.ndarray,
+    wall_us: np.ndarray,
     holidays: frozenset[date] | set[date] = frozenset(),
     *,
-    bin_minutes: float = 1.0,
-    min_gaps: int = 5,
-    weighted: bool = False,
+    bin_minutes: float = AnalysisConfig.interarrival_bin_minutes,
+    min_gaps: int = AnalysisConfig.min_daily_gaps,
+    weighted: bool = AnalysisConfig.weighted_fits,
     work_start: time = AnalysisConfig.work_start,
     work_end: time = AnalysisConfig.work_end,
 ) -> list[ExponentialFit]:
     """Fit the daily inter-arrival distribution per (day, cohort).
 
-    records may be datetimes or objects carrying scan_completed_at. Gaps are
-    taken between consecutive timestamps within one contiguous cohort block;
-    day-cohorts with fewer than min_gaps gaps are skipped and logged.
+    utc_us and wall_us are the arrival times as in ExamLogIngest. Gaps are
+    taken between consecutive arrivals in UTC order that fall in one
+    contiguous cohort block (see cohort_blocks); day-cohorts with fewer than
+    min_gaps gaps are skipped and logged.
     """
-    times = sorted(
-        r if isinstance(r, datetime) else r.scan_completed_at for r in records
-    )
-    gaps_by_day_cohort: dict[tuple[date, Cohort], list[float]] = {}
-    for earlier, later in zip(times, times[1:]):
-        key_a = _segment_key(earlier, holidays, work_start, work_end)
-        key_b = _segment_key(later, holidays, work_start, work_end)
-        if key_a != key_b:
-            continue
-        gap = (later - earlier).total_seconds() / 60.0
-        gaps_by_day_cohort.setdefault((key_a[0], key_a[1]), []).append(gap)
+    order = np.argsort(utc_us, kind="stable")
+    utc = np.asarray(utc_us, dtype=np.int64)[order]
+    day, block = cohort_blocks(np.asarray(wall_us)[order], holidays, work_start, work_end)
+    same = (day[1:] == day[:-1]) & (block[1:] == block[:-1])
+    gaps = np.diff(utc)[same] / 1e6 / 60.0
+    # Group by (day, cohort), off-hours first as "off" < "work"; the stable
+    # sort keeps each group's gaps in arrival order.
+    key = day[1:][same] * 2 + (block[1:][same] == WORK_BLOCK)
+    by_key = np.argsort(key, kind="stable")
+    gaps, key = gaps[by_key], key[by_key]
     fits = []
     min_gaps = max(min_gaps, 2)  # a single gap cannot constrain a fit
-    for (day, cohort), gaps in sorted(
-        gaps_by_day_cohort.items(), key=lambda item: (item[0][0], item[0][1].value)
-    ):
-        if len(gaps) < min_gaps:
+    for lo, hi in _runs(key):
+        day_number, work = divmod(int(key[lo]), 2)
+        day_of_fit = date.fromordinal(_EPOCH_ORDINAL + day_number)
+        cohort = Cohort.WORK_HOUR if work else Cohort.OFF_HOUR
+        if hi - lo < min_gaps:
             log.info(
-                "skipping %s %s: %d gaps < minimum %d", day, cohort.value, len(gaps), min_gaps
+                "skipping %s %s: %d gaps < minimum %d", day_of_fit, cohort.value, hi - lo, min_gaps
             )
             continue
-        fit = fit_exponential_histogram(gaps, bin_minutes, weighted)
+        fit = fit_exponential_histogram(gaps[lo:hi], bin_minutes, weighted)
         fits.append(
-            ExponentialFit(day, cohort, fit.mean, fit.mean_sample, fit.r2, fit.n)
+            ExponentialFit(day_of_fit, cohort, fit.mean, fit.mean_sample, fit.r2, fit.n)
         )
     return fits
 
@@ -442,72 +545,78 @@ class ReadTimeSummary:
 
 
 def estimate_read_times(
-    closures: Iterable[ClosureRecord],
+    closures: ClosureLogIngest,
     roles: Mapping[str, ReaderRole],
     *,
-    max_gap_minutes: float = 60.0,
-    min_daily_closures: int = 30,
-    min_gaps: int = 10,
-    bin_minutes: float = 2.0,
-    weighted: bool = False,
+    max_gap_minutes: float = AnalysisConfig.max_read_gap_minutes,
+    min_daily_closures: int = AnalysisConfig.min_daily_closures,
+    min_gaps: int = AnalysisConfig.min_gaps_per_fit,
+    bin_minutes: float = AnalysisConfig.readtime_bin_minutes,
+    weighted: bool = AnalysisConfig.weighted_fits,
 ) -> ReadTimeSummary:
     """Estimate per-class read times from inter-case-closure gaps.
 
     The gap between a reader's consecutive closures on one day approximates
     the read time of the later exam, so gaps inherit the class of the later
     closure. Cleaning rules: only residents count (consecutive reading is a
-    poor assumption for staff), gaps above max_gap_minutes are treated as
-    breaks, and reader-days with fewer than min_daily_closures closures are
-    dropped wholesale. Per (reader, class) groups need min_gaps gaps for a
-    fit; per-class aggregates average the per-reader fitted means.
+    poor assumption for staff), closures at the same instant as the
+    reader's previous one are duplicates, gaps above max_gap_minutes are
+    treated as breaks, and reader-days (in each closure's own zone offset)
+    with fewer than min_daily_closures closures are dropped wholesale. Per
+    (reader, class) groups need min_gaps gaps for a fit; per-class
+    aggregates average the per-reader fitted means.
     """
-    by_reader: dict[str, list[ClosureRecord]] = {}
-    n_non_resident = 0
-    for record in closures:
-        if roles.get(record.reader_id) is not ReaderRole.RESIDENT:
-            n_non_resident += 1
-            continue
-        by_reader.setdefault(record.reader_id, []).append(record)
+    n = len(closures.reader_id)
+    readers = sorted(set(closures.reader_id))
+    reader_code = {reader_id: k for k, reader_id in enumerate(readers)}
+    resident = np.array([roles.get(r) is ReaderRole.RESIDENT for r in readers], dtype=bool)
+    # Classes coded in the order of their values, the order of the fits.
+    classes = sorted(ExamClass, key=lambda c: c.value)
+    class_code = {exam_class: k for k, exam_class in enumerate(classes)}
+    reader = np.fromiter(map(reader_code.__getitem__, closures.reader_id), np.int64, n)
+    kept = resident[reader]
+    n_non_resident = n - int(kept.sum())
+    reader = reader[kept]
+    utc = closures.closed_utc_us[kept]
+    day = closures.closed_wall_us[kept] // _US_PER_DAY
+    exam_class = np.fromiter(map(class_code.__getitem__, closures.exam_class), np.int64, n)[kept]
 
-    n_duplicates = 0
-    n_days_dropped = 0
-    n_gaps_over = 0
-    gaps_by_reader_class: dict[tuple[str, ExamClass], list[float]] = {}
-    for reader_id in sorted(by_reader):
-        rows = sorted(by_reader[reader_id], key=lambda r: r.closed_at)
-        deduped: list[ClosureRecord] = []
-        for row in rows:
-            if deduped and row.closed_at == deduped[-1].closed_at:
-                n_duplicates += 1
-                continue
-            deduped.append(row)
-        by_day: dict[date, list[ClosureRecord]] = {}
-        for row in deduped:
-            by_day.setdefault(row.closed_at.date(), []).append(row)
-        for day in sorted(by_day):
-            chain = by_day[day]
-            if len(chain) < min_daily_closures:
-                n_days_dropped += 1
-                continue
-            for earlier, later in zip(chain, chain[1:]):
-                gap = (later.closed_at - earlier.closed_at).total_seconds() / 60.0
-                if gap > max_gap_minutes:
-                    n_gaps_over += 1
-                    continue
-                gaps_by_reader_class.setdefault(
-                    (reader_id, later.exam_class), []
-                ).append(gap)
+    # Each reader's closures in time order, then those at the instant of
+    # the previous one dropped.
+    order = np.lexsort((utc, reader))
+    reader, utc, day, exam_class = reader[order], utc[order], day[order], exam_class[order]
+    duplicate = np.zeros(reader.size, dtype=bool)
+    duplicate[1:] = (reader[1:] == reader[:-1]) & (utc[1:] == utc[:-1])
+    n_duplicates = int(duplicate.sum())
+    unique = ~duplicate
+    reader, utc, day, exam_class = reader[unique], utc[unique], day[unique], exam_class[unique]
+
+    # Reader-day chains, each in time order; thin ones are dropped.
+    order = np.lexsort((day, reader))
+    reader, utc, day, exam_class = reader[order], utc[order], day[order], exam_class[order]
+    chain = np.zeros(reader.size, dtype=np.int64)
+    chain[1:] = np.cumsum((reader[1:] != reader[:-1]) | (day[1:] != day[:-1]))
+    lengths = np.bincount(chain)
+    n_days_dropped = int((lengths < min_daily_closures).sum())
+    full = lengths[chain] >= min_daily_closures
+    pair = full[1:] & (chain[1:] == chain[:-1])
+    gaps = np.diff(utc)[pair] / 1e6 / 60.0
+    over = gaps > max_gap_minutes
+    n_gaps_over = int(over.sum())
+    # Group by (reader, class of the later closure); the stable sort keeps
+    # each group's gaps in chain order.
+    key = (reader[1:][pair] * len(classes) + exam_class[1:][pair])[~over]
+    gaps = gaps[~over]
+    by_key = np.argsort(key, kind="stable")
+    gaps, key = gaps[by_key], key[by_key]
 
     per_reader: list[ReaderClassFit] = []
-    for (reader_id, exam_class), gaps in sorted(
-        gaps_by_reader_class.items(), key=lambda item: (item[0][0], item[0][1].value)
-    ):
-        if len(gaps) < min_gaps:
+    for lo, hi in _runs(key):
+        if hi - lo < min_gaps:
             continue
-        fit = fit_exponential_histogram(gaps, bin_minutes, weighted)
-        per_reader.append(
-            ReaderClassFit(reader_id, exam_class, fit.mean, fit.n, fit.r2)
-        )
+        code, k = divmod(int(key[lo]), len(classes))
+        fit = fit_exponential_histogram(gaps[lo:hi], bin_minutes, weighted)
+        per_reader.append(ReaderClassFit(readers[code], classes[k], fit.mean, fit.n, fit.r2))
 
     per_class: dict[ExamClass, ClassReadTime] = {}
     for exam_class in ExamClass:

@@ -80,6 +80,25 @@ class TestEstimate:
         assert "device.tpf" in doc["missing"]
         assert doc["interarrival"]["work"] is not None
 
+    def test_duplicate_exam_ids_reported(self, corpus, tmp_path):
+        # The same exam logged twice: estimate and compare count the later
+        # row as a duplicate and keep everything else as before.
+        root, truth = corpus
+        lines = (root / "exam_log.csv").read_text().splitlines(keepends=True)
+        exam_log = tmp_path / "exam_log.csv"
+        exam_log.write_text("".join(lines) + lines[7])
+        config = str(root / "config.yaml")
+        for command in ("estimate", "compare"):
+            argv = [command, "--exam-log", str(exam_log), "--config", config, "--out", str(tmp_path)]
+            assert cli.main(argv) == 0
+        diagnostics = json.loads((tmp_path / "params.json").read_text())["diagnostics"]["exam_log"]
+        assert diagnostics["n_duplicate_exam_id"] == 1
+        assert diagnostics["n_rows"] == truth["exam_log"]["n_rows"] + 1
+        assert diagnostics["n_retained"] == truth["exam_log"]["n_retained"]
+        meta = json.loads((tmp_path / "compare_meta.json").read_text())
+        assert meta["n_duplicate_exam_id"] == 1
+        assert meta["n_rows"] == truth["exam_log"]["n_rows"] + 1
+
     def test_bad_header_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")

@@ -2,6 +2,7 @@ from datetime import date, datetime, time, timedelta, timezone
 
 import numpy as np
 import pytest
+from reference_ingest import ClosureRecord, closure_columns, stamp_columns
 
 from triagesim import (
     Cohort,
@@ -13,11 +14,11 @@ from triagesim import (
 )
 from triagesim.core import trial_stream
 from triagesim.estimation import (
-    ClosureRecord,
+    WORK_BLOCK,
     ExponentialFit,
     NormalSummary,
     adjusted_fpf,
-    assign_cohort,
+    cohort_blocks,
     daily_interarrival_fits,
     effective_nondiseased_read_time,
     estimate_read_times,
@@ -55,7 +56,7 @@ class TestIngestExamLog:
             rows.append(exam_row(i, scan, scan - timedelta(minutes=5)))
         path.write_text("".join(rows))
         result = ingest_exam_log(path)
-        assert len(result.records) == 8
+        assert len(result.exam_id) == 8
         assert result.n_excluded_negative == 2
         assert result.n_rows == 10
 
@@ -72,18 +73,18 @@ class TestIngestExamLog:
         result = ingest_exam_log(path)
         assert result.n_rows == 16_579
         assert result.n_excluded_negative == 5_327
-        assert len(result.records) == 11_252
+        assert len(result.exam_id) == 11_252
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         result = ingest_exam_log(path)
-        assert result.records == () and result.n_excluded_negative == 0
+        assert result.exam_id == () and result.n_excluded_negative == 0
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text(EXAM_HEADER)
-        assert ingest_exam_log(path).records == ()
+        assert ingest_exam_log(path).exam_id == ()
 
     def test_wrong_header_is_fatal(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -104,7 +105,7 @@ class TestIngestExamLog:
         )
         with caplog.at_level("WARNING"):
             result = ingest_exam_log(path)
-        assert len(result.records) == 2
+        assert len(result.exam_id) == 2
         assert result.n_malformed == 3
         assert "line 3" in caplog.text
 
@@ -114,7 +115,7 @@ class TestIngestExamLog:
             EXAM_HEADER + "E1,2024-01-02T09:00:00,2024-01-02T10:00:00+00:00,r001,Resident,Negative,ED\n"
         )
         result = ingest_exam_log(path)
-        assert result.n_malformed == 1 and not result.records
+        assert result.n_malformed == 1 and not result.exam_id
 
     def test_row_accounting_identity(self, tmp_path):
         path = tmp_path / "exam.csv"
@@ -127,8 +128,36 @@ class TestIngestExamLog:
             + exam_row(4, good, good + timedelta(minutes=2))
         )
         result = ingest_exam_log(path)
-        assert all(r.tat_minutes >= 0 for r in result.records)
-        assert len(result.records) + result.n_excluded_negative + result.n_malformed == result.n_rows
+        assert (result.tat_minutes >= 0).all()
+        assert len(result.exam_id) + result.n_excluded_negative + result.n_malformed == result.n_rows
+
+    def test_duplicate_exam_ids_excluded_and_counted(self, tmp_path):
+        path = tmp_path / "exam.csv"
+        good = ts(2, 9)
+        path.write_text(
+            EXAM_HEADER
+            + exam_row(1, good, good + timedelta(minutes=5))
+            + exam_row(1, good, good + timedelta(minutes=8))  # duplicate
+            + "E2,not-a-time,2024-01-02T10:00:00+00:00,r001,Resident,Negative,ED\n"
+            + exam_row(2, good, good + timedelta(minutes=3))  # E2 never parsed before
+            + exam_row(3, good, good - timedelta(minutes=5))  # negative TAT
+            + exam_row(3, good, good + timedelta(minutes=4))  # duplicate of a parsed row
+            + ",,,,,,\n   \n"  # blank rows are not counted
+            + exam_row(2, good, good - timedelta(minutes=1)).replace("E2,", " E2 ,")
+        )
+        result = ingest_exam_log(path)
+        assert result.exam_id == ("E1", "E2")
+        np.testing.assert_array_equal(result.tat_minutes, [5.0, 3.0])
+        assert result.n_duplicate_exam_id == 3
+        assert result.n_excluded_negative == 1 and result.n_malformed == 1
+        assert result.n_rows == 7
+        assert (
+            len(result.exam_id)
+            + result.n_excluded_negative
+            + result.n_duplicate_exam_id
+            + result.n_malformed
+            == result.n_rows
+        )
 
 
 class TestIngestClosureLog:
@@ -141,8 +170,8 @@ class TestIngestClosureLog:
             "r002,2024-01-02T09:12:00+00:00,non_chest_ct\n"
         )
         result = ingest_closure_log(path)
-        assert len(result.records) == 3
-        assert result.records[0].exam_class is ExamClass.PE_POSITIVE
+        assert len(result.exam_class) == 3
+        assert result.exam_class[0] is ExamClass.PE_POSITIVE
 
     def test_unknown_class_skipped(self, tmp_path):
         path = tmp_path / "closures.csv"
@@ -150,7 +179,14 @@ class TestIngestClosureLog:
             "reader_id,closed_at,exam_class\nr001,2024-01-02T09:00:00+00:00,mystery\n"
         )
         result = ingest_closure_log(path)
-        assert result.n_malformed == 1 and not result.records
+        assert result.n_malformed == 1 and not result.exam_class
+
+
+def assign_cohort(t, holidays=frozenset()):
+    """The cohort that cohort_blocks gives one aware datetime."""
+    _, wall = stamp_columns([t])
+    _, block = cohort_blocks(wall, holidays)
+    return Cohort.WORK_HOUR if block[0] == WORK_BLOCK else Cohort.OFF_HOUR
 
 
 class TestAssignCohort:
@@ -177,9 +213,11 @@ class TestAssignCohort:
             datetime(2024, 1, 1, tzinfo=UTC) + timedelta(minutes=float(m))
             for m in rng.uniform(0, 60 * 24 * 14, 500)
         ]
-        work = sum(assign_cohort(t) is Cohort.WORK_HOUR for t in stamps)
-        off = sum(assign_cohort(t) is Cohort.OFF_HOUR for t in stamps)
+        _, block = cohort_blocks(stamp_columns(stamps)[1])
+        work = int((block == WORK_BLOCK).sum())
+        off = int((block != WORK_BLOCK).sum())
         assert work + off == len(stamps)
+        assert set(block.tolist()) <= {0, WORK_BLOCK, 2}
 
 
 class TestDailyInterarrivalFits:
@@ -202,7 +240,7 @@ class TestDailyInterarrivalFits:
 
     def test_recovers_mean_and_fit_quality(self):
         stamps = self.poisson_days(200, 2.17, seed=8)
-        fits = daily_interarrival_fits(stamps)
+        fits = daily_interarrival_fits(*stamp_columns(stamps))
         work = [f for f in fits if f.cohort is Cohort.WORK_HOUR]
         assert len(work) == 200
         means = np.array([f.mean for f in work])
@@ -210,23 +248,14 @@ class TestDailyInterarrivalFits:
         assert abs(means.mean() - 2.17) / 2.17 <= 0.05
         assert r2.mean() >= 0.98
 
-    def test_accepts_records_with_scan_attribute(self):
-        class Row:
-            def __init__(self, at):
-                self.scan_completed_at = at
-
-        stamps = [Row(t) for t in self.poisson_days(3, 2.0, seed=9)]
-        fits = daily_interarrival_fits(stamps)
-        assert len(fits) == 3
-
     def test_too_few_gaps_skipped(self):
         stamps = [ts(3, 9, 0), ts(3, 9, 2)]  # a single gap
-        assert daily_interarrival_fits(stamps) == []
+        assert daily_interarrival_fits(*stamp_columns(stamps)) == []
 
     def test_constant_spacing_gives_low_r2(self):
         base = datetime(2024, 1, 3, 8, 30, tzinfo=UTC)
         stamps = [base + timedelta(minutes=2 * k) for k in range(120)]
-        (fit,) = daily_interarrival_fits(stamps)
+        (fit,) = daily_interarrival_fits(*stamp_columns(stamps))
         assert fit.mean == pytest.approx(2.0, abs=1e-9)
         assert fit.r2 < 0.5
 
@@ -248,7 +277,7 @@ class TestDailyInterarrivalFits:
             datetime(2024, 1, 7, 0, 30, tzinfo=UTC),
             datetime(2024, 1, 7, 0, 50, tzinfo=UTC),
         ]
-        fits = daily_interarrival_fits(stamps, min_gaps=2)
+        fits = daily_interarrival_fits(*stamp_columns(stamps), min_gaps=2)
         by_key = {(f.day, f.cohort): f.n for f in fits}
         assert by_key == {
             (date(2024, 1, 3), Cohort.WORK_HOUR): 2,
@@ -339,7 +368,7 @@ class TestEstimateReadTimes:
 
     def test_recovery_within_ten_percent(self):
         records, roles = self.synthetic_closures()
-        summary = estimate_read_times(records, roles)
+        summary = estimate_read_times(closure_columns(records), roles)
         truth = {
             ExamClass.PE_POSITIVE: 12.1,
             ExamClass.NON_PE_POSITIVE: 11.4,
@@ -356,7 +385,7 @@ class TestEstimateReadTimes:
             ClosureRecord("r01", datetime.combine(day, time(8), tzinfo=UTC) + timedelta(minutes=6 * k), ExamClass.NON_CHEST_CT)
             for k in range(29)
         ]
-        summary = estimate_read_times(records, {"r01": ReaderRole.RESIDENT})
+        summary = estimate_read_times(closure_columns(records), {"r01": ReaderRole.RESIDENT})
         assert summary.per_reader == ()
         assert summary.exclusions.n_reader_days_dropped == 1
 
@@ -368,7 +397,7 @@ class TestEstimateReadTimes:
             t += 300.0 if k == 20 else 5.0  # one five-hour break
             stamps.append(start + timedelta(minutes=t))
         records = [ClosureRecord("r01", s, ExamClass.NON_CHEST_CT) for s in stamps]
-        summary = estimate_read_times(records, {"r01": ReaderRole.RESIDENT})
+        summary = estimate_read_times(closure_columns(records), {"r01": ReaderRole.RESIDENT})
         assert summary.exclusions.n_gaps_over_max == 1
         (fit,) = summary.per_reader
         assert fit.n == 38
@@ -378,8 +407,8 @@ class TestEstimateReadTimes:
         staff_records = [
             ClosureRecord("staff1", r.closed_at, r.exam_class) for r in records[:200]
         ]
-        summary_with = estimate_read_times(records + staff_records, roles)
-        summary_without = estimate_read_times(records, roles)
+        summary_with = estimate_read_times(closure_columns(records + staff_records), roles)
+        summary_without = estimate_read_times(closure_columns(records), roles)
         assert summary_with.per_reader == summary_without.per_reader
         assert summary_with.exclusions.n_non_resident_closures == 200
 
@@ -389,12 +418,14 @@ class TestEstimateReadTimes:
         rng = trial_stream(2)
         order = rng.permutation(len(shuffled))
         shuffled = [shuffled[int(i)] for i in order]
-        assert estimate_read_times(records, roles) == estimate_read_times(shuffled, roles)
+        assert estimate_read_times(closure_columns(records), roles) == estimate_read_times(
+            closure_columns(shuffled), roles
+        )
 
     def test_duplicate_closures_deduped(self):
         records, roles = self.synthetic_closures(n_readers=1, n_days=2)
         doubled = records + records[:5]
-        summary = estimate_read_times(doubled, roles)
+        summary = estimate_read_times(closure_columns(doubled), roles)
         assert summary.exclusions.n_duplicate_closures == 5
 
     def test_min_gaps_threshold(self):
@@ -406,7 +437,7 @@ class TestEstimateReadTimes:
             t += 6.0
             exam_class = ExamClass.PE_POSITIVE if k < 9 else ExamClass.NON_CHEST_CT
             records.append(ClosureRecord("r01", start + timedelta(minutes=t), exam_class))
-        summary = estimate_read_times(records, {"r01": ReaderRole.RESIDENT})
+        summary = estimate_read_times(closure_columns(records), {"r01": ReaderRole.RESIDENT})
         assert ExamClass.PE_POSITIVE not in {f.exam_class for f in summary.per_reader}
 
 

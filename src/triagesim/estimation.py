@@ -10,23 +10,23 @@ Two logs drive everything:
   surrogate.
 
 Distribution means are estimated by least-squares fits of a * exp(-t / m) to
-density-normalized gap histograms. The fitted mean, unlike the plain sample
-mean, is unaffected by truncation rules (dropped long gaps, day boundaries)
-because cutting the tail of an exponential does not change its shape; the
-sample mean is carried alongside for comparison.
+density-normalized gap histograms, with the amplitude a in closed form and
+a bounded search over m (variable projection). The fitted mean, unlike the
+plain sample mean, is unaffected by truncation rules (dropped long gaps, day
+boundaries) because cutting the tail of an exponential does not change its
+shape; the sample mean is carried alongside for comparison.
 """
 from __future__ import annotations
 
 import csv
 import logging
-import warnings
 from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import minimize_scalar
 
 from .config import AnalysisConfig
 from .core import Cohort, Diagnosis, ExamClass, Location, ReaderRole
@@ -356,19 +356,27 @@ def fit_exponential_histogram(
 ) -> HistogramFit:
     """Fit a * exp(-t / m) to the histogram of gaps (least squares).
 
-    The curve fit only runs when the histogram can support it
-    (_MIN_FIT_SAMPLES gaps and several occupied bins); sparse histograms make
-    two-parameter nonlinear fits drift badly upward. Below the threshold, or
-    when the optimizer fails or pins to its bounds, the sample mean is
+    The fit is solved by variable projection: for a fixed mean m the best
+    amplitude is linear in the densities and has a closed form, so only m
+    is searched, with a bounded scalar minimisation of the residual left
+    after the amplitude is profiled out. The result is the exact
+    least-squares minimiser in [m_sample / 3, 3 m_sample].
+
+    The fit only runs when the histogram can support it (_MIN_FIT_SAMPLES
+    gaps and several occupied bins); sparse histograms make two-parameter
+    fits drift badly upward. Below the threshold, or when the fitted mean
+    pins to within 2% of a bound of its search band, the sample mean is
     reported with the r-squared measured against the exponential shape it
-    implies (converged=False). With weighted=True, bins are weighted by
-    their Poisson uncertainty during the fit.
+    implies (converged=False). With weighted=True, each bin's squared
+    residual is weighted by 1 / max(count, 1), its Poisson variance.
     """
     values = np.asarray(gaps, dtype=float)
     if values.size < 2:
         raise InsufficientDataError(f"need at least 2 gaps to fit, got {values.size}")
     if bin_width <= 0:
         raise ParameterError(f"bin width must be > 0, got {bin_width}")
+    if values.min() < 0:
+        raise ParameterError(f"gaps must be >= 0, got {values.min()}")
     n = values.size
     m_sample = float(values.mean())
     upper = max(bin_width, float(np.ceil(values.max() / bin_width)) * bin_width)
@@ -377,38 +385,44 @@ def fit_exponential_histogram(
     centers = (edges[:-1] + edges[1:]) / 2.0
     density = counts / (n * bin_width)
 
-    def model(t, amplitude, m):
-        return amplitude * np.exp(-t / m)
-
     # Legitimate truncation corrections move the mean by a few percent, so a
     # fit escaping a 3x band around the sample mean is noise, not signal.
     lo_m, hi_m = m_sample / 3.0, m_sample * 3.0
-    sigma = np.sqrt(np.maximum(counts, 1.0)) / (n * bin_width) if weighted else None
     converged = n >= _MIN_FIT_SAMPLES and int((counts > 0).sum()) >= _MIN_OCCUPIED_BINS
     if converged:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                (amplitude, m_fit), _ = curve_fit(
-                    model,
-                    centers,
-                    density,
-                    p0=(1.0 / m_sample, m_sample),
-                    sigma=sigma,
-                    bounds=((0.0, lo_m), (np.inf, hi_m)),
-                    maxfev=5000,
-                )
-            if m_fit >= 0.98 * hi_m or m_fit <= 1.02 * lo_m:
-                converged = False
-        except (RuntimeError, ValueError):
-            converged = False
+        weight = 1.0 / np.maximum(counts, 1.0) if weighted else np.ones_like(density)
+        weighted_density = weight * density
+        # The basis is scaled to 1 at the first center, which changes
+        # neither the best fit nor its residual, and keeps
+        # sum(weight * basis**2) >= weight[0] > 0 however steep the decay.
+        offsets = centers - centers[0]
+
+        def projection(m):
+            basis = np.exp(-offsets / m)
+            return basis, (weighted_density @ basis) / (weight @ (basis * basis))
+
+        def profiled_residual(m):
+            # Less its constant term, sum(weight * density**2).
+            basis, amplitude = projection(m)
+            return -amplitude * (weighted_density @ basis)
+
+        search = minimize_scalar(
+            profiled_residual,
+            bounds=(lo_m, hi_m),
+            method="bounded",
+            options={"xatol": 1e-9 * m_sample},
+        )
+        m_fit = float(search.x)
+        basis, amplitude = projection(m_fit)
+        predicted = amplitude * basis
+        converged = search.success and 1.02 * lo_m < m_fit < 0.98 * hi_m
     if not converged:
-        amplitude, m_fit = 1.0 / m_sample, m_sample
-    predicted = model(centers, amplitude, m_fit)
+        m_fit = m_sample
+        predicted = (1.0 / m_sample) * np.exp(-centers / m_sample)
     ss_res = float(np.sum((density - predicted) ** 2))
     ss_tot = float(np.sum((density - density.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
-    return HistogramFit(float(m_fit), m_sample, r2, n, converged)
+    return HistogramFit(m_fit, m_sample, r2, n, converged)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ Given the same spec, generation is bit-reproducible.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
@@ -18,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ExamClass, trial_stream
+from .errors import ParameterError
 
 _UTC = timezone.utc
 
@@ -46,6 +49,15 @@ class SyntheticSpec:
     break_probability: float = 0.01
     n_duplicate_closures: int = 3
     n_thin_reader_days: int = 2
+
+    def __post_init__(self) -> None:
+        mix = self.closure_mix
+        finite = all(0 <= w < math.inf for w in mix)
+        if len(mix) != len(ExamClass) or not finite or sum(mix) <= 0:
+            raise ParameterError(
+                f"closure_mix must hold {len(ExamClass)} finite non-negative weights "
+                f"with a positive sum, got {mix}"
+            )
 
     @property
     def boundary(self) -> int:
@@ -153,6 +165,11 @@ def generate_closure_rows(spec: SyntheticSpec) -> tuple[list[list[str]], dict]:
     }
     mix = np.asarray(spec.closure_mix, dtype=float)
     mix = mix / mix.sum()
+    # The inverse-CDF draw that rng.choice(len(class_values), p=mix) makes,
+    # from the same single uniform, without its per-call cost.
+    cdf = mix.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
     rows: list[list[str]] = []
     class_counts = {value: 0 for value in class_values}
     thin_days_left = spec.n_thin_reader_days
@@ -170,9 +187,7 @@ def generate_closure_rows(spec: SyntheticSpec) -> tuple[list[list[str]], dict]:
                 thin_days_left -= 1
             t = 450.0 + float(rng.uniform(0.0, 30.0))  # shift starts around 07:30
             for _ in range(n_closures):
-                exam_class = class_values[
-                    int(rng.choice(len(class_values), p=mix))
-                ]
+                exam_class = class_values[bisect_right(cdf, rng.random())]
                 gap = float(rng.exponential(read_means[exam_class]))
                 if rng.random() < spec.break_probability:
                     gap += float(rng.uniform(70.0, 120.0))

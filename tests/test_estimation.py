@@ -1,7 +1,9 @@
+import itertools
 from datetime import date, datetime, time, timedelta, timezone
 
 import numpy as np
 import pytest
+from reference_fit import fit_exponential_histogram as reference_fit
 from reference_ingest import ClosureRecord, closure_columns, stamp_columns
 
 from triagesim import (
@@ -337,11 +339,111 @@ class TestFitExponentialHistogram:
         assert not fit.converged
         assert fit.mean == pytest.approx(float(gaps.mean()))
 
+    def test_weighted_fit_minimises_the_poisson_weighted_residual(self):
+        rng = trial_stream(35)
+        gaps = rng.exponential(8.0, 20_000)
+        gaps = gaps[gaps <= 40.0]
+        weighted = fit_exponential_histogram(gaps, 1.0, weighted=True)
+        plain = fit_exponential_histogram(gaps, 1.0)
+        assert weighted.converged and plain.converged
+        assert abs(weighted.mean - 8.0) / 8.0 <= 0.03
+        assert weighted.mean != plain.mean
+        # Each fit is the least-squares minimiser of its own objective.
+        for fit, is_weighted in ((weighted, True), (plain, False)):
+            other = plain if is_weighted else weighted
+            best = histogram_residual(gaps, 1.0, is_weighted, fit.mean)
+            assert best < histogram_residual(gaps, 1.0, is_weighted, other.mean)
+            for nudge in (0.999, 1.001):
+                assert best < histogram_residual(gaps, 1.0, is_weighted, fit.mean * nudge)
+
+    def test_bound_pinned_fit_falls_back_to_sample_mean(self):
+        # A flat histogram is best fit by an ever slower decay, so the mean
+        # runs to the top of its [m_sample / 3, 3 m_sample] band.
+        rng = trial_stream(36)
+        gaps = rng.uniform(0.0, 20.0, 400)
+        fit = fit_exponential_histogram(gaps, 1.0)
+        assert not fit.converged
+        assert fit.n == 400  # enough gaps and bins: the fit ran and pinned
+        assert fit.mean == fit.mean_sample == float(gaps.mean())
+        # r-squared against the exponential shape the sample mean implies.
+        counts, _ = np.histogram(gaps, np.arange(0.0, 20.5, 1.0))
+        density = counts / (400 * 1.0)
+        implied = np.exp(-np.arange(0.5, 20.0, 1.0) / fit.mean) / fit.mean
+        ss_res = np.sum((density - implied) ** 2)
+        ss_tot = np.sum((density - density.mean()) ** 2)
+        assert fit.r2 == pytest.approx(1.0 - ss_res / ss_tot, rel=1e-12)
+
+    def test_matches_reference_fit(self):
+        # The reference is the two-parameter curve_fit the program used
+        # before; the closed-form amplitude and bounded search over the mean
+        # must agree with it on when to fall back, and where both fit, never
+        # leave a larger residual and land on nearly the same mean (TRF
+        # stops at ftol=1e-8, so in flat valleys its mean is off by up to
+        # about 2e-4 relative).
+        rng = np.random.default_rng(2025)
+        n_sets = n_fitted = 0
+        for size, shape, bin_width, weighted, _ in itertools.product(
+            (20, 49, 50, 51, 80, 200, 1_000, 5_000),
+            ("exponential", "truncated", "uniform", "outliers"),
+            (0.5, 1.0, 2.0),
+            (False, True),
+            range(11),
+        ):
+            gaps = reference_gaps(rng, shape, size)
+            new = fit_exponential_histogram(gaps, bin_width, weighted)
+            old = reference_fit(gaps, bin_width, weighted)
+            n_sets += 1
+            case = (size, shape, bin_width, weighted, old, new)
+            assert new.converged == old.converged, case
+            assert (new.n, new.mean_sample) == (old.n, old.mean_sample)
+            if not new.converged:
+                same = [new.mean, new.r2], [old.mean, old.r2]
+                assert np.array_equal(*same, equal_nan=True), case
+                continue
+            n_fitted += 1
+            residual_new = histogram_residual(gaps, bin_width, weighted, new.mean)
+            residual_old = histogram_residual(gaps, bin_width, weighted, old.mean)
+            assert residual_new <= residual_old * (1 + 1e-10), case
+            assert new.mean == pytest.approx(old.mean, rel=1e-3), case
+        assert n_sets >= 2_000
+        assert n_fitted >= n_sets // 3  # the comparison is not all fallbacks
+
     def test_validation(self):
         with pytest.raises(InsufficientDataError):
             fit_exponential_histogram([1.0], 1.0)
         with pytest.raises(ParameterError):
             fit_exponential_histogram([1.0, 2.0], 0.0)
+        with pytest.raises(ParameterError):
+            fit_exponential_histogram([1.0, -2.0], 1.0)
+
+
+def reference_gaps(rng, shape, size):
+    mean = rng.uniform(2.0, 15.0)
+    if shape == "uniform":
+        return rng.uniform(0.0, 2.0 * mean, size)
+    gaps = rng.exponential(mean, size)
+    if shape == "truncated":
+        while (gaps > 3.0 * mean).any():
+            over = gaps > 3.0 * mean
+            gaps[over] = rng.exponential(mean, int(over.sum()))
+    elif shape == "outliers":
+        outlier = rng.random(size) < 0.1
+        gaps[outlier] = rng.uniform(60.0, 120.0, int(outlier.sum()))
+    return gaps
+
+
+def histogram_residual(gaps, bin_width, weighted, m):
+    """Least-squares residual of a * exp(-t / m) with its best amplitude a,
+    binned and weighted as fit_exponential_histogram does."""
+    gaps = np.asarray(gaps)
+    upper = max(bin_width, np.ceil(gaps.max() / bin_width) * bin_width)
+    edges = np.arange(0.0, upper + bin_width / 2.0, bin_width)
+    counts, _ = np.histogram(gaps, edges)
+    density = counts / (gaps.size * bin_width)
+    weight = 1.0 / np.maximum(counts, 1.0) if weighted else np.ones_like(density)
+    basis = np.exp(-(edges[:-1] + edges[1:]) / 2.0 / m)
+    amplitude = np.sum(weight * density * basis) / np.sum(weight * basis**2)
+    return float(np.sum(weight * (density - amplitude * basis) ** 2))
 
 
 class TestEstimateReadTimes:

@@ -1,6 +1,7 @@
 """Differential check of the heap kernels against the reference event-scan
 kernel in reference_kernel.py: start and suspended times must be equal bit
-for bit under every discipline.
+for bit under every discipline. Then properties every replay must have,
+checked with hypothesis over small random streams.
 
 Continuous draws almost never put two events at the same instant, so the
 tie rules ("completions before arrivals, lowest exam id first") are only
@@ -9,6 +10,8 @@ completions are common.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_kernel import _serve_queue_impl
 
 from triagesim import DeviceOperatingPoint, QueueDiscipline, WorkflowParams, trial_stream
@@ -78,3 +81,107 @@ def test_integer_streams_match_reference():
     # Most streams must contain a completion at an arrival instant, or the
     # tie rules went untested.
     assert tied > N_INTEGER_STREAMS // 2
+
+
+# Properties every replay must have, over small random streams. Integer
+# gaps and read times make simultaneous events common, as above.
+@st.composite
+def small_streams(draw):
+    n = draw(st.integers(1, 40))
+    gaps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    service = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    flagged = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    arrival = np.cumsum(gaps).astype(float)
+    stream = PatientStream(arrival, np.array(service, float), flagged, flagged)
+    return stream, draw(st.integers(1, 4))
+
+
+PROPERTIES = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def occupancy(begin, end):
+    """Event times, and how many [begin, end) intervals are open just after
+    each; at equal times intervals end before others begin."""
+    times = np.concatenate([begin, end])
+    steps = np.concatenate([np.ones(begin.size), -np.ones(end.size)])
+    order = np.lexsort((steps, times))
+    return times[order], np.cumsum(steps[order])
+
+
+def max_in_service(start, service):
+    return int(occupancy(start, start + service)[1].max())
+
+
+@PROPERTIES
+@given(small_streams())
+def test_every_exam_is_served_once(case):
+    stream, n_servers = case
+    for discipline in QueueDiscipline:
+        out = replay_stream(stream, n_servers, discipline)
+        assert np.all(out.start >= stream.arrival), discipline
+        assert np.all(out.suspended >= 0), discipline
+        if discipline is QueueDiscipline.AI_PRIORITY_PREEMPTIVE:
+            # Only unflagged exams are interrupted; flagged ones hold one
+            # reader from start to completion, so at most n_servers at once.
+            flag = stream.flagged
+            assert np.all(out.suspended[flag] == 0)
+            if flag.any():
+                assert max_in_service(out.start[flag], stream.service[flag]) <= n_servers
+        else:
+            assert np.all(out.suspended == 0), discipline
+            assert max_in_service(out.start, stream.service) <= n_servers, discipline
+
+
+@PROPERTIES
+@given(small_streams())
+def test_no_reader_idles_while_an_exam_waits(case):
+    stream, n_servers = case
+    for discipline in QueueDiscipline:
+        # The integral over time of min(readers, exams present) equals the
+        # total read time exactly when no reader idles while an exam waits.
+        out = replay_stream(stream, n_servers, discipline)
+        times, present = occupancy(out.arrival, out.completion)
+        busy = np.sum(np.minimum(present[:-1], n_servers) * np.diff(times))
+        assert busy == pytest.approx(stream.service.sum()), discipline
+
+
+@PROPERTIES
+@given(small_streams())
+def test_fifo_order_within_a_class(case):
+    stream, n_servers = case
+    fifo = replay_stream(stream, n_servers, QueueDiscipline.FIFO)
+    assert np.all(np.diff(fifo.start) >= 0)
+    for discipline in (QueueDiscipline.AI_PRIORITY, QueueDiscipline.AI_PRIORITY_PREEMPTIVE):
+        out = replay_stream(stream, n_servers, discipline)
+        for members in (stream.flagged, ~stream.flagged):
+            assert np.all(np.diff(out.start[members]) >= 0), discipline
+
+
+@PROPERTIES
+@given(small_streams())
+def test_flagged_exams_are_dispatched_first(case):
+    # No unflagged exam starts while a flagged one that arrived earlier
+    # still waits. An arrival at the instant of a start does not count:
+    # completions, and the dispatches they make, come before arrivals.
+    stream, n_servers = case
+    flagged = stream.flagged
+    for discipline in (QueueDiscipline.AI_PRIORITY, QueueDiscipline.AI_PRIORITY_PREEMPTIVE):
+        out = replay_stream(stream, n_servers, discipline)
+        plain_start = out.start[~flagged][:, None]
+        waiting = (stream.arrival[flagged] < plain_start) & (plain_start < out.start[flagged])
+        assert not waiting.any(), discipline
+
+
+@PROPERTIES
+@given(small_streams())
+def test_total_work_is_equal_across_disciplines(case):
+    # One reader works whenever anything is present, so the work left in
+    # the system, and the instants it falls to zero, do not depend on the
+    # order of service. (With more readers the busy count depends on it.)
+    stream, _ = case
+    ends = []
+    for discipline in QueueDiscipline:
+        out = replay_stream(stream, 1, discipline)
+        times, present = occupancy(out.arrival, out.completion)
+        ends.append(times[present == 0])
+    assert np.array_equal(ends[0], ends[1]) and np.array_equal(ends[0], ends[2])

@@ -51,7 +51,13 @@ from .estimation import (
     summarize_interarrival,
 )
 from .oracle import PriorityLoad, mmc_fifo_wait, mmc_priority_wait
-from .paramfile import empty_document, load_parameters, save_parameters, workflow_params_from_doc
+from .paramfile import (
+    empty_document,
+    load_parameters,
+    missing_fields,
+    save_parameters,
+    workflow_params_from_doc,
+)
 from .roc import fit_from_point, sample_operating_points
 from .simulator import (
     QueueDiscipline,
@@ -113,52 +119,33 @@ def _out_dir(args) -> Path:
 def _parse_grid(text: str, cast=float) -> list:
     """Accept '1.25,1.5,2' or 'start:stop:step' (stop inclusive)."""
     text = text.strip()
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return [cast(part) for part in text.split(",") if part.strip()]
         start, stop, step = (float(part) for part in text.split(":"))
-        if step <= 0:
-            raise ParameterError(f"grid step must be > 0 in {text!r}")
-        values = []
-        k = 0
-        while True:
-            value = start + k * step
-            if value > stop + 1e-9:
-                break
-            values.append(cast(round(value, 10)))
-            k += 1
-        return values
-    return [cast(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ParameterError(f"cannot read grid {text!r}: {exc}") from exc
+    if step <= 0:
+        raise ParameterError(f"grid step must be > 0 in {text!r}")
+    values = []
+    k = 0
+    while True:
+        value = start + k * step
+        if value > stop + 1e-9:
+            break
+        values.append(cast(round(value, 10)))
+        k += 1
+    return values
 
 
 # --------------------------------------------------------------------------
 # estimate
 
 
-def _interarrival_block(fits, cohort: Cohort):
-    summary = summarize_interarrival(fits, cohort)
-    cohort_fits = [f for f in fits if f.cohort is cohort]
-    r2 = [f.r2 for f in cohort_fits if f.r2 == f.r2]  # drop NaN
-    n = len(cohort_fits)
-    mean_r2 = sum(r2) / len(r2) if r2 else None
-    sd_r2 = (
-        (sum((value - mean_r2) ** 2 for value in r2) / (len(r2) - 1)) ** 0.5
-        if r2 and len(r2) > 1
-        else None
-    )
-    return {
-        "mean": summary.mean,
-        "sigma": summary.sigma,
-        "range68": list(summary.range68),
-        "n_days": n,
-        "r2_mean": mean_r2,
-        "r2_sd": sd_r2,
-    }
-
-
 def cmd_estimate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     doc = empty_document()
-    missing: list[str] = []
 
     exam = ingest_exam_log(args.exam_log)
     n_positive = exam.diagnosis.count(Diagnosis.POSITIVE)
@@ -171,35 +158,17 @@ def cmd_estimate(args) -> int:
         "n_positive": n_positive,
     }
 
-    fits = daily_interarrival_fits(
-        exam.scan_utc_us,
-        exam.scan_wall_us,
-        cfg.holidays,
-        bin_minutes=cfg.interarrival_bin_minutes,
-        min_gaps=cfg.min_daily_gaps,
-        weighted=cfg.weighted_fits,
-        work_start=cfg.work_start,
-        work_end=cfg.work_end,
-    )
+    fits = daily_interarrival_fits(exam.scan_utc_us, exam.scan_wall_us, cfg)
     for cohort, key in ((Cohort.WORK_HOUR, "work"), (Cohort.OFF_HOUR, "off")):
         try:
-            doc["interarrival"][key] = _interarrival_block(fits, cohort)
+            doc["interarrival"][key] = summarize_interarrival(fits, cohort)
         except InsufficientDataError as exc:
             log.warning("inter-arrival summary unavailable for %s: %s", key, exc)
-            missing.append(f"interarrival.{key}")
 
     if args.closure_log:
         closures = ingest_closure_log(args.closure_log)
         roles = dict(zip(exam.reader_id, exam.reader_role))
-        readtimes = estimate_read_times(
-            closures,
-            roles,
-            max_gap_minutes=cfg.max_read_gap_minutes,
-            min_daily_closures=cfg.min_daily_closures,
-            min_gaps=cfg.min_gaps_per_fit,
-            bin_minutes=cfg.readtime_bin_minutes,
-            weighted=cfg.weighted_fits,
-        )
+        readtimes = estimate_read_times(closures, roles, cfg)
         class_counts = {c.value: closures.exam_class.count(c) for c in ExamClass}
         n_queue_total = len(closures.exam_class)
         doc["counts"] = {
@@ -209,11 +178,7 @@ def cmd_estimate(args) -> int:
             "n_non_chest_ct": class_counts[ExamClass.NON_CHEST_CT.value],
         }
         doc["prevalence"] = queue_prevalence(n_positive, n_queue_total)
-        for exam_class in ExamClass:
-            agg = readtimes.per_class.get(exam_class)
-            if agg is None:
-                missing.append(f"read_time.{exam_class.value}")
-                continue
+        for exam_class, agg in readtimes.per_class.items():
             doc["read_time"][exam_class.value] = {
                 "mean": agg.mean,
                 "n_readers": agg.n_readers,
@@ -225,8 +190,6 @@ def cmd_estimate(args) -> int:
         ncct = readtimes.per_class.get(ExamClass.NON_CHEST_CT)
         if pe is not None:
             doc["read_time_diseased"] = pe.mean
-        else:
-            missing.append("read_time_diseased")
         if npp is not None and ncct is not None:
             doc["effective_nondiseased_read_time"] = effective_nondiseased_read_time(
                 npp.mean,
@@ -234,8 +197,6 @@ def cmd_estimate(args) -> int:
                 class_counts[ExamClass.NON_PE_POSITIVE.value],
                 class_counts[ExamClass.NON_CHEST_CT.value],
             )
-        else:
-            missing.append("effective_nondiseased_read_time")
         doc["diagnostics"]["closure_log"] = {
             "n_rows": closures.n_rows,
             "n_malformed": closures.n_malformed,
@@ -252,38 +213,16 @@ def cmd_estimate(args) -> int:
                 for fit in readtimes.per_reader
             ],
         }
-    else:
-        missing.extend(
-            [
-                "counts",
-                "prevalence",
-                "read_time.pe_positive",
-                "read_time.non_pe_positive",
-                "read_time.non_chest_ct",
-                "read_time_diseased",
-                "effective_nondiseased_read_time",
-            ]
+
+    doc["device"]["tpf"] = cfg.device_tpf
+    doc["device"]["specificity"] = cfg.device_specificity
+    counts = doc["counts"]
+    if cfg.device_specificity is not None and counts["n_non_pe_positive"]:
+        doc["device"]["fpf_adjusted"] = adjusted_fpf(
+            cfg.device_specificity, counts["n_non_chest_ct"], counts["n_non_pe_positive"]
         )
 
-    if cfg.device_tpf is not None:
-        doc["device"]["tpf"] = cfg.device_tpf
-    else:
-        missing.append("device.tpf")
-    if cfg.device_specificity is not None:
-        doc["device"]["specificity"] = cfg.device_specificity
-        counts = doc["counts"]
-        if counts.get("n_non_pe_positive") and counts.get("n_non_chest_ct") is not None:
-            doc["device"]["fpf_adjusted"] = adjusted_fpf(
-                cfg.device_specificity,
-                counts["n_non_chest_ct"],
-                counts["n_non_pe_positive"],
-            )
-        else:
-            missing.append("device.fpf_adjusted")
-    else:
-        missing.extend(["device.specificity", "device.fpf_adjusted"])
-
-    doc["missing"] = sorted(set(missing))
+    doc["missing"] = missing_fields(doc)
     path = out / "params.json"
     save_parameters(doc, path)
     print(f"wrote {path}")
@@ -560,7 +499,7 @@ def cmd_compare(args) -> int:
     positive = np.fromiter(
         (d is Diagnosis.POSITIVE for d in exam.diagnosis), dtype=bool, count=len(exam.diagnosis)
     )
-    day, block = cohort_blocks(exam.scan_wall_us, cfg.holidays, cfg.work_start, cfg.work_end)
+    day, block = cohort_blocks(exam.scan_wall_us, cfg)
     work = block == WORK_BLOCK
     after = day >= day_number(cfg.boundary_date)
 

@@ -16,11 +16,16 @@ from .errors import FormatError
 
 
 def _parse_clock(value) -> time:
+    """A time, an "H:MM" string, or an int: an hour in 0-23, or minutes
+    after midnight in 60-1439, which is how YAML 1.1 reads an unquoted H:MM
+    from 1:00 on (base 60)."""
     if isinstance(value, time):
         return value
-    if isinstance(value, int):
-        return time(value, 0)
     try:
+        if isinstance(value, int) and not isinstance(value, bool):
+            if 60 <= value < 24 * 60:
+                return time(*divmod(value, 60))
+            return time(value, 0)
         hours, minutes = str(value).split(":")
         return time(int(hours), int(minutes))
     except ValueError as exc:

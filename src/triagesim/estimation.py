@@ -22,7 +22,7 @@ import csv
 import logging
 from array import array
 from dataclasses import dataclass, field
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -307,31 +307,28 @@ def day_number(d: date) -> int:
 
 
 def cohort_blocks(
-    wall_us: np.ndarray,
-    holidays: frozenset[date] | set[date] = frozenset(),
-    work_start: time = AnalysisConfig.work_start,
-    work_end: time = AnalysisConfig.work_end,
+    wall_us: np.ndarray, cfg: AnalysisConfig = AnalysisConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Day number (see day_number) and cohort block of each wall-clock time,
     in microseconds.
 
-    A time is in the work-hour cohort iff its block is WORK_BLOCK: a
-    non-holiday weekday with local time in [work_start, work_end). Weekday
-    off-hours split into a morning block 0 and an evening block 2 so that no
-    gap ever spans the working day; nothing spans midnight either.
+    A time is in the work-hour cohort iff its block is WORK_BLOCK: a weekday
+    not in cfg.holidays with local time in [cfg.work_start, cfg.work_end).
+    Weekday off-hours split into a morning block 0 and an evening block 2 so
+    that no gap ever spans the working day; nothing spans midnight either.
     """
     wall = np.asarray(wall_us, dtype=np.int64)
     day = wall // _US_PER_DAY
     clock = wall - day * _US_PER_DAY
     start, end = (
         ((t.hour * 60 + t.minute) * 60 + t.second) * 10**6 + t.microsecond
-        for t in (work_start, work_end)
+        for t in (cfg.work_start, cfg.work_end)
     )
     block = np.where(clock < start, 0, np.where(clock < end, WORK_BLOCK, 2))
     # 1970-01-01 was a Thursday, weekday 3.
     off_day = (day + 3) % 7 >= 5
-    if holidays:
-        off_day |= np.isin(day, [day_number(d) for d in holidays])
+    if cfg.holidays:
+        off_day |= np.isin(day, [day_number(d) for d in cfg.holidays])
     block[off_day] = 0
     return day, block
 
@@ -447,26 +444,19 @@ def _runs(keys: np.ndarray) -> list[tuple[int, int]]:
 
 
 def daily_interarrival_fits(
-    utc_us: np.ndarray,
-    wall_us: np.ndarray,
-    holidays: frozenset[date] | set[date] = frozenset(),
-    *,
-    bin_minutes: float = AnalysisConfig.interarrival_bin_minutes,
-    min_gaps: int = AnalysisConfig.min_daily_gaps,
-    weighted: bool = AnalysisConfig.weighted_fits,
-    work_start: time = AnalysisConfig.work_start,
-    work_end: time = AnalysisConfig.work_end,
+    utc_us: np.ndarray, wall_us: np.ndarray, cfg: AnalysisConfig = AnalysisConfig()
 ) -> list[ExponentialFit]:
     """Fit the daily inter-arrival distribution per (day, cohort).
 
     utc_us and wall_us are the arrival times as in ExamLogIngest. Gaps are
     taken between consecutive arrivals in UTC order that fall in one
     contiguous cohort block (see cohort_blocks); day-cohorts with fewer than
-    min_gaps gaps are skipped and logged.
+    cfg.min_daily_gaps gaps are skipped and logged. Histograms have bins of
+    cfg.interarrival_bin_minutes, weighted as cfg.weighted_fits says.
     """
     order = np.argsort(utc_us, kind="stable")
     utc = np.asarray(utc_us, dtype=np.int64)[order]
-    day, block = cohort_blocks(np.asarray(wall_us)[order], holidays, work_start, work_end)
+    day, block = cohort_blocks(np.asarray(wall_us)[order], cfg)
     same = (day[1:] == day[:-1]) & (block[1:] == block[:-1])
     gaps = np.diff(utc)[same] / 1e6 / 60.0
     # Group by (day, cohort), off-hours first as "off" < "work"; the stable
@@ -475,7 +465,7 @@ def daily_interarrival_fits(
     by_key = np.argsort(key, kind="stable")
     gaps, key = gaps[by_key], key[by_key]
     fits = []
-    min_gaps = max(min_gaps, 2)  # a single gap cannot constrain a fit
+    min_gaps = max(cfg.min_daily_gaps, 2)  # a single gap cannot constrain a fit
     for lo, hi in _runs(key):
         day_number, work = divmod(int(key[lo]), 2)
         day_of_fit = date.fromordinal(_EPOCH_ORDINAL + day_number)
@@ -485,40 +475,42 @@ def daily_interarrival_fits(
                 "skipping %s %s: %d gaps < minimum %d", day_of_fit, cohort.value, hi - lo, min_gaps
             )
             continue
-        fit = fit_exponential_histogram(gaps[lo:hi], bin_minutes, weighted)
+        fit = fit_exponential_histogram(gaps[lo:hi], cfg.interarrival_bin_minutes, cfg.weighted_fits)
         fits.append(
             ExponentialFit(day_of_fit, cohort, fit.mean, fit.mean_sample, fit.r2, fit.n)
         )
     return fits
 
 
-@dataclass(frozen=True)
-class NormalSummary:
-    """Mean and one-sigma spread of a collection of daily fitted means."""
-
-    mean: float
-    sigma: float
-    range68: tuple[float, float]
-
-    @classmethod
-    def from_moments(cls, mean: float, sigma: float) -> "NormalSummary":
-        if sigma < 0:
-            raise ParameterError("sigma must be >= 0")
-        return cls(mean, sigma, (mean - sigma, mean + sigma))
-
-
-def summarize_interarrival(fits: Sequence[ExponentialFit], cohort: Cohort) -> NormalSummary:
-    """Normal summary (mean, 1-sigma range) of the daily fitted means in a cohort."""
-    means = [f.mean for f in fits if f.cohort is cohort]
-    if len(means) < 2:
+def summarize_interarrival(fits: Sequence[ExponentialFit], cohort: Cohort) -> dict:
+    """The params.json summary of one cohort's daily fits: the mean and
+    one-sigma range of their fitted means, the number of days, and the mean
+    and sd of their r-squared (NaN dropped; None when too few remain)."""
+    cohort_fits = [f for f in fits if f.cohort is cohort]
+    if len(cohort_fits) < 2:
         raise InsufficientDataError(
-            f"need >= 2 daily fits for cohort {cohort.value}, got {len(means)}"
+            f"need >= 2 daily fits for cohort {cohort.value}, got {len(cohort_fits)}"
         )
-    arr = np.asarray(means)
-    sigma = float(arr.std(ddof=1))
+    means = np.asarray([f.mean for f in cohort_fits])
+    mean = float(means.mean())
+    sigma = float(means.std(ddof=1))
     if sigma == 0.0:
         log.warning("all %s daily means identical: zero variance summary", cohort.value)
-    return NormalSummary.from_moments(float(arr.mean()), sigma)
+    r2 = [f.r2 for f in cohort_fits if f.r2 == f.r2]  # drop NaN
+    r2_mean = sum(r2) / len(r2) if r2 else None
+    r2_sd = (
+        (sum((value - r2_mean) ** 2 for value in r2) / (len(r2) - 1)) ** 0.5
+        if len(r2) > 1
+        else None
+    )
+    return {
+        "mean": mean,
+        "sigma": sigma,
+        "range68": [mean - sigma, mean + sigma],
+        "n_days": len(cohort_fits),
+        "r2_mean": r2_mean,
+        "r2_sd": r2_sd,
+    }
 
 
 @dataclass(frozen=True)
@@ -561,12 +553,7 @@ class ReadTimeSummary:
 def estimate_read_times(
     closures: ClosureLogIngest,
     roles: Mapping[str, ReaderRole],
-    *,
-    max_gap_minutes: float = AnalysisConfig.max_read_gap_minutes,
-    min_daily_closures: int = AnalysisConfig.min_daily_closures,
-    min_gaps: int = AnalysisConfig.min_gaps_per_fit,
-    bin_minutes: float = AnalysisConfig.readtime_bin_minutes,
-    weighted: bool = AnalysisConfig.weighted_fits,
+    cfg: AnalysisConfig = AnalysisConfig(),
 ) -> ReadTimeSummary:
     """Estimate per-class read times from inter-case-closure gaps.
 
@@ -574,11 +561,12 @@ def estimate_read_times(
     the read time of the later exam, so gaps inherit the class of the later
     closure. Cleaning rules: only residents count (consecutive reading is a
     poor assumption for staff), closures at the same instant as the
-    reader's previous one are duplicates, gaps above max_gap_minutes are
-    treated as breaks, and reader-days (in each closure's own zone offset)
-    with fewer than min_daily_closures closures are dropped wholesale. Per
-    (reader, class) groups need min_gaps gaps for a fit; per-class
-    aggregates average the per-reader fitted means.
+    reader's previous one are duplicates, gaps above cfg.max_read_gap_minutes
+    are treated as breaks, and reader-days (in each closure's own zone
+    offset) with fewer than cfg.min_daily_closures closures are dropped
+    wholesale. Per (reader, class) groups need cfg.min_gaps_per_fit gaps for
+    a fit, binned by cfg.readtime_bin_minutes; per-class aggregates average
+    the per-reader fitted means.
     """
     n = len(closures.reader_id)
     readers = sorted(set(closures.reader_id))
@@ -611,11 +599,11 @@ def estimate_read_times(
     chain = np.zeros(reader.size, dtype=np.int64)
     chain[1:] = np.cumsum((reader[1:] != reader[:-1]) | (day[1:] != day[:-1]))
     lengths = np.bincount(chain)
-    n_days_dropped = int((lengths < min_daily_closures).sum())
-    full = lengths[chain] >= min_daily_closures
+    n_days_dropped = int((lengths < cfg.min_daily_closures).sum())
+    full = lengths[chain] >= cfg.min_daily_closures
     pair = full[1:] & (chain[1:] == chain[:-1])
     gaps = np.diff(utc)[pair] / 1e6 / 60.0
-    over = gaps > max_gap_minutes
+    over = gaps > cfg.max_read_gap_minutes
     n_gaps_over = int(over.sum())
     # Group by (reader, class of the later closure); the stable sort keeps
     # each group's gaps in chain order.
@@ -626,10 +614,10 @@ def estimate_read_times(
 
     per_reader: list[ReaderClassFit] = []
     for lo, hi in _runs(key):
-        if hi - lo < min_gaps:
+        if hi - lo < cfg.min_gaps_per_fit:
             continue
         code, k = divmod(int(key[lo]), len(classes))
-        fit = fit_exponential_histogram(gaps[lo:hi], bin_minutes, weighted)
+        fit = fit_exponential_histogram(gaps[lo:hi], cfg.readtime_bin_minutes, cfg.weighted_fits)
         per_reader.append(ReaderClassFit(readers[code], classes[k], fit.mean, fit.n, fit.r2))
 
     per_class: dict[ExamClass, ClassReadTime] = {}

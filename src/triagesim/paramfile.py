@@ -13,6 +13,22 @@ from .core import DeviceOperatingPoint, WorkflowParams
 from .errors import FormatError, ParameterError
 
 SCHEMA_VERSION = 1
+# The dotted names of the fields estimate fills, each listed under "missing"
+# when it could not be estimated.
+ESTIMATED_FIELDS = (
+    "prevalence",
+    "counts",
+    "interarrival.work",
+    "interarrival.off",
+    "read_time.pe_positive",
+    "read_time.non_pe_positive",
+    "read_time.non_chest_ct",
+    "read_time_diseased",
+    "effective_nondiseased_read_time",
+    "device.tpf",
+    "device.specificity",
+    "device.fpf_adjusted",
+)
 
 
 def empty_document() -> dict:
@@ -59,10 +75,25 @@ def load_parameters(path) -> dict:
     return doc
 
 
-def _require(doc: dict, dotted: str):
+def _lookup(doc: dict, dotted: str):
     node = doc
     for part in dotted.split("."):
         node = node.get(part) if isinstance(node, dict) else None
+    return node
+
+
+def missing_fields(doc: dict) -> list[str]:
+    """The ESTIMATED_FIELDS that are null or whose entries are all null, sorted."""
+    missing = []
+    for dotted in ESTIMATED_FIELDS:
+        node = _lookup(doc, dotted)
+        if node is None or isinstance(node, dict) and all(v is None for v in node.values()):
+            missing.append(dotted)
+    return sorted(missing)
+
+
+def _require(doc: dict, dotted: str):
+    node = _lookup(doc, dotted)
     if node is None:
         raise ParameterError(
             f"parameter file is missing {dotted!r}; re-run estimate with the "

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import ExamClass, trial_stream
 from .errors import ParameterError
+from .estimation import CLOSURE_LOG_COLUMNS, EXAM_LOG_COLUMNS
 
 _UTC = timezone.utc
 
@@ -219,12 +220,8 @@ def generate_corpus(out_dir, spec: SyntheticSpec) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     exam_rows, exam_counts = generate_exam_rows(spec)
     closure_rows, closure_counts = generate_closure_rows(spec)
-    _write_csv(
-        out / "exam_log.csv",
-        ("exam_id", "scan_completed_at", "report_signed_at", "reader_id", "reader_role", "diagnosis", "location"),
-        exam_rows,
-    )
-    _write_csv(out / "closure_log.csv", ("reader_id", "closed_at", "exam_class"), closure_rows)
+    _write_csv(out / "exam_log.csv", EXAM_LOG_COLUMNS, exam_rows)
+    _write_csv(out / "closure_log.csv", CLOSURE_LOG_COLUMNS, closure_rows)
     truth = {
         "spec": _spec_dict(spec),
         "exam_log": exam_counts,

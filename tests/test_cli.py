@@ -76,9 +76,59 @@ class TestEstimate:
         assert code == 0
         doc = json.loads((tmp_path / "params.json").read_text())
         assert doc["prevalence"] is None
-        assert "prevalence" in doc["missing"]
-        assert "device.tpf" in doc["missing"]
+        assert doc["missing"] == [
+            "counts",
+            "device.fpf_adjusted",
+            "device.specificity",
+            "device.tpf",
+            "effective_nondiseased_read_time",
+            "prevalence",
+            "read_time.non_chest_ct",
+            "read_time.non_pe_positive",
+            "read_time.pe_positive",
+            "read_time_diseased",
+        ]
         assert doc["interarrival"]["work"] is not None
+
+    @pytest.mark.parametrize(
+        "case, missing",
+        [
+            (
+                "no closure log",
+                [
+                    "counts",
+                    "device.fpf_adjusted",
+                    "effective_nondiseased_read_time",
+                    "prevalence",
+                    "read_time.non_chest_ct",
+                    "read_time.non_pe_positive",
+                    "read_time.pe_positive",
+                    "read_time_diseased",
+                ],
+            ),
+            ("no config", ["device.fpf_adjusted", "device.specificity", "device.tpf"]),
+            ("no pe_positive closures", ["read_time.pe_positive", "read_time_diseased"]),
+        ],
+    )
+    def test_missing_fields_pinned(self, corpus, tmp_path, case, missing):
+        root, _ = corpus
+        closure_log = tmp_path / "closure_log.csv"
+        lines = (root / "closure_log.csv").read_text().splitlines(keepends=True)
+        if case == "no pe_positive closures":
+            lines = [line for line in lines if not line.rstrip().endswith(",pe_positive")]
+        closure_log.write_text("".join(lines))
+        argv = ["estimate", "--exam-log", str(root / "exam_log.csv"), "--out", str(tmp_path)]
+        if case != "no closure log":
+            argv += ["--closure-log", str(closure_log)]
+        if case != "no config":
+            argv += ["--config", str(root / "config.yaml")]
+        assert cli.main(argv) == 0
+        doc = json.loads((tmp_path / "params.json").read_text())
+        assert doc["missing"] == missing
+        for dotted in missing:
+            head, _, tail = dotted.partition(".")
+            value = doc[head][tail] if tail else doc[head]
+            assert value is None or all(v is None for v in value.values())
 
     def test_duplicate_exam_ids_reported(self, corpus, tmp_path):
         # The same exam logged twice: estimate and compare count the later
@@ -147,6 +197,16 @@ class TestSweep:
         assert self.run_sweep(params_file, c, extra=("--workers", "3")) == 0
         assert filecmp.cmp(a / "sweep.csv", b / "sweep.csv", shallow=False)
         assert filecmp.cmp(a / "sweep.csv", c / "sweep.csv", shallow=False)
+
+    @pytest.mark.parametrize(
+        "flag, grid",
+        [("--radiologists", "2,x"), ("--radiologists", "2.5"), ("--interarrival", "1:2")],
+    )
+    def test_unparseable_grid_exits_3(self, params_file, tmp_path, caplog, flag, grid):
+        argv = ["sweep", "--params", str(params_file), flag, grid, "--trials", "2", "--patients", "500"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 3
+        assert f"cannot read grid {grid!r}" in caplog.text
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_burn_in_past_the_stream_exits_3(self, params_file, tmp_path):
         assert self.run_sweep(params_file, tmp_path, extra=("--burn-in", "2000")) == 3
@@ -387,3 +447,53 @@ class TestCompare:
             ]
         )
         assert code == 4
+
+
+def _compare_counts(doc, compare):
+    return [(row["cohort"], row["n_pre"], row["n_post"]) for row in compare]
+
+
+def _read_time_means(doc, compare):
+    return [doc["read_time"][c]["mean"] for c in ("pe_positive", "non_pe_positive", "non_chest_ct")]
+
+
+# Each analysis key at a non-default value, and the output it governs.
+SETTINGS = {
+    "interarrival_bin_minutes: 0.5": lambda doc, compare: doc["interarrival"]["work"]["mean"],
+    # Weekday off-hour fits have about 280 gaps and weekend ones about 450.
+    "min_daily_gaps: 350": lambda doc, compare: doc["interarrival"]["off"]["n_days"],
+    "max_read_gap_minutes: 20": lambda doc, compare: doc["diagnostics"]["closure_log"][
+        "exclusions"
+    ]["n_gaps_over_max"],
+    "min_daily_closures: 100": lambda doc, compare: doc["diagnostics"]["closure_log"][
+        "exclusions"
+    ]["n_reader_days_dropped"],
+    "min_gaps_per_fit: 1000000": lambda doc, compare: doc["read_time"]["pe_positive"],
+    "readtime_bin_minutes: 1.0": _read_time_means,
+    "weighted_fits: true": _read_time_means,
+    "holidays: [2024-01-03]": _compare_counts,
+    "work_start: 10:00": _compare_counts,
+    "work_end: 15:00": _compare_counts,
+}
+
+
+class TestAnalysisSettings:
+    """Every analysis key set in the YAML reaches estimate and compare."""
+
+    def run(self, corpus, out, setting=""):
+        root, _ = corpus
+        (out / "config.yaml").write_text(CONFIG_YAML + setting + "\n")
+        logs = ["--exam-log", str(root / "exam_log.csv"), "--config", str(out / "config.yaml")]
+        closures = ["--closure-log", str(root / "closure_log.csv")]
+        assert cli.main(["estimate", *logs, *closures, "--out", str(out)]) == 0
+        assert cli.main(["compare", *logs, "--out", str(out)]) == 0
+        return json.loads((out / "params.json").read_text()), read_table(out / "compare.csv")
+
+    @pytest.fixture(scope="class")
+    def baseline(self, corpus, tmp_path_factory):
+        return self.run(corpus, tmp_path_factory.mktemp("baseline"))
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_setting_moves_its_output(self, corpus, baseline, tmp_path, setting):
+        output = SETTINGS[setting]
+        assert output(*self.run(corpus, tmp_path, setting)) != output(*baseline)

@@ -14,11 +14,11 @@ from triagesim import (
     ParameterError,
     ReaderRole,
 )
+from triagesim.config import AnalysisConfig
 from triagesim.core import trial_stream
 from triagesim.estimation import (
     WORK_BLOCK,
     ExponentialFit,
-    NormalSummary,
     adjusted_fpf,
     cohort_blocks,
     daily_interarrival_fits,
@@ -187,7 +187,7 @@ class TestIngestClosureLog:
 def assign_cohort(t, holidays=frozenset()):
     """The cohort that cohort_blocks gives one aware datetime."""
     _, wall = stamp_columns([t])
-    _, block = cohort_blocks(wall, holidays)
+    _, block = cohort_blocks(wall, AnalysisConfig(holidays=frozenset(holidays)))
     return Cohort.WORK_HOUR if block[0] == WORK_BLOCK else Cohort.OFF_HOUR
 
 
@@ -279,7 +279,7 @@ class TestDailyInterarrivalFits:
             datetime(2024, 1, 7, 0, 30, tzinfo=UTC),
             datetime(2024, 1, 7, 0, 50, tzinfo=UTC),
         ]
-        fits = daily_interarrival_fits(*stamp_columns(stamps), min_gaps=2)
+        fits = daily_interarrival_fits(*stamp_columns(stamps), AnalysisConfig(min_daily_gaps=2))
         by_key = {(f.day, f.cohort): f.n for f in fits}
         assert by_key == {
             (date(2024, 1, 3), Cohort.WORK_HOUR): 2,
@@ -300,13 +300,15 @@ class TestSummarizeInterarrival:
         rng = trial_stream(15)
         daily_means = rng.normal(2.17, 0.57, 400)
         summary = summarize_interarrival(self.fits_from_means(daily_means), Cohort.WORK_HOUR)
-        assert abs(summary.mean - 2.17) <= 0.1
-        assert summary.range68 == (summary.mean - summary.sigma, summary.mean + summary.sigma)
+        assert abs(summary["mean"] - 2.17) <= 0.1
+        assert summary["range68"] == [summary["mean"] - summary["sigma"], summary["mean"] + summary["sigma"]]
+        assert summary["n_days"] == 400
+        assert summary["r2_mean"] == pytest.approx(0.99) and summary["r2_sd"] == pytest.approx(0.0)
 
     def test_identical_fits_zero_sigma_warns(self, caplog):
         with caplog.at_level("WARNING"):
             summary = summarize_interarrival(self.fits_from_means([3.0, 3.0, 3.0]), Cohort.WORK_HOUR)
-        assert summary.mean == 3.0 and summary.sigma == 0.0
+        assert summary["mean"] == 3.0 and summary["sigma"] == 0.0
         assert "zero variance" in caplog.text
 
     def test_requires_two_fits(self):
@@ -314,10 +316,6 @@ class TestSummarizeInterarrival:
             summarize_interarrival(self.fits_from_means([2.0]), Cohort.WORK_HOUR)
         with pytest.raises(InsufficientDataError):
             summarize_interarrival(self.fits_from_means([2.0, 2.1]), Cohort.OFF_HOUR)
-
-    def test_normal_summary_validation(self):
-        with pytest.raises(ParameterError):
-            NormalSummary.from_moments(2.0, -0.1)
 
 
 class TestFitExponentialHistogram:

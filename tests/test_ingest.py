@@ -18,6 +18,7 @@ import reference_ingest as reference
 from reference_ingest import closure_columns, stamp_columns
 
 from triagesim import Cohort, trial_stream
+from triagesim.config import AnalysisConfig
 from triagesim.estimation import (
     WORK_BLOCK,
     cohort_blocks,
@@ -209,9 +210,8 @@ def test_daily_fits_match_reference(tmp_path, caplog, seed, calendar):
     dirty_exam_log(path, seed)
     new, ref = ingest_both(ingest_exam_log, reference.ingest_exam_log, path, caplog)
     for bin_minutes, min_gaps in ((1.0, 5), (2.0, 40)):
-        fits = daily_interarrival_fits(
-            new.scan_utc_us, new.scan_wall_us, bin_minutes=bin_minutes, min_gaps=min_gaps, **calendar
-        )
+        cfg = AnalysisConfig(interarrival_bin_minutes=bin_minutes, min_daily_gaps=min_gaps, **calendar)
+        fits = daily_interarrival_fits(new.scan_utc_us, new.scan_wall_us, cfg)
         expected = reference.daily_interarrival_fits(
             [r.scan_completed_at for r in ref.records],
             bin_minutes=bin_minutes,
@@ -231,8 +231,14 @@ def test_read_times_match_reference(tmp_path, caplog, seed):
     exams = reference.ingest_exam_log(exam_path)
     roles = {r.reader_id: r.reader_role for r in exams.records}
     new, ref = ingest_both(ingest_closure_log, reference.ingest_closure_log, closure_path, caplog)
-    for settings in ({}, {"min_daily_closures": 10, "max_gap_minutes": 20.0, "min_gaps": 40}):
-        summary = estimate_read_times(new, roles, **settings)
+    for settings, cfg in (
+        ({}, AnalysisConfig()),
+        (
+            {"min_daily_closures": 10, "max_gap_minutes": 20.0, "min_gaps": 40},
+            AnalysisConfig(min_daily_closures=10, max_read_gap_minutes=20.0, min_gaps_per_fit=40),
+        ),
+    ):
+        summary = estimate_read_times(new, roles, cfg)
         expected = reference.estimate_read_times(ref.records, roles, **settings)
         assert repr(summary) == repr(expected)
         exclusions = summary.exclusions
@@ -269,7 +275,7 @@ class TestMixedOffsetsAndDst:
         holidays = calendar.get("holidays", frozenset())
         work_start = calendar.get("work_start", time(8, 0))
         work_end = calendar.get("work_end", time(17, 0))
-        day, block = cohort_blocks(stamp_columns(stamps)[1], holidays, work_start, work_end)
+        day, block = cohort_blocks(stamp_columns(stamps)[1], AnalysisConfig(**calendar))
         keys = [reference._segment_key(t, holidays, work_start, work_end) for t in stamps]
         cohorts = [reference.assign_cohort(t, holidays, work_start, work_end) for t in stamps]
         assert day.tolist() == [day_number(k[0]) for k in keys]
@@ -286,7 +292,7 @@ class TestMixedOffsetsAndDst:
     @pytest.mark.parametrize("calendar", CALENDARS)
     def test_gap_segmentation_equals_reference(self, calendar):
         stamps = self.stamps()
-        fits = daily_interarrival_fits(*stamp_columns(stamps), min_gaps=2, **calendar)
+        fits = daily_interarrival_fits(*stamp_columns(stamps), AnalysisConfig(min_daily_gaps=2, **calendar))
         expected = reference.daily_interarrival_fits(stamps, min_gaps=2, **calendar)
         assert repr(fits) == repr(expected)
         assert len(fits) >= 5

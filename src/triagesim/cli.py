@@ -5,8 +5,8 @@ companion (seed, grids, version) so a run can be reproduced exactly. Output
 is byte-identical for identical inputs and seed, regardless of worker count;
 nothing time- or host-dependent goes into the files.
 
-Exit codes: 0 success, 2 input-format error, 3 infeasible parameters,
-4 insufficient data.
+Exit codes: 0 success, 2 input-format error or unreadable input file,
+3 infeasible parameters, 4 insufficient data.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -90,30 +91,26 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _write_table(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+def _emit(args, stem: str, header: tuple[str, ...], rows: list[tuple], meta: dict) -> Path:
+    """Write <stem>.csv and <stem>_meta.json under --out; return the table's path.
+
+    The metadata is stamped with the command and the package version.
+    """
+    out = Path(args.out)
+    table = out / f"{stem}.csv"
+    with open(table, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
             handle.write(",".join(str(cell) for cell in row) + "\n")
-
-
-def _write_metadata(path: Path, payload: dict) -> None:
-    payload = dict(payload, triagesim_version=__version__)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    meta = dict(meta, command=args.command, triagesim_version=__version__)
+    with open(out / f"{stem}_meta.json", "w", encoding="utf-8") as handle:
+        json.dump(meta, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    return table
 
 
 def _load_config(args) -> AnalysisConfig:
-    if getattr(args, "config", None):
-        return AnalysisConfig.from_yaml(args.config)
-    return AnalysisConfig()
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return AnalysisConfig.from_yaml(args.config) if args.config else AnalysisConfig()
 
 
 def _parse_grid(text: str, cast=float) -> list:
@@ -125,6 +122,8 @@ def _parse_grid(text: str, cast=float) -> list:
         start, stop, step = (float(part) for part in text.split(":"))
     except ValueError as exc:
         raise ParameterError(f"cannot read grid {text!r}: {exc}") from exc
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ParameterError(f"cannot read grid {text!r}: start, stop and step must be finite")
     if step <= 0:
         raise ParameterError(f"grid step must be > 0 in {text!r}")
     values = []
@@ -133,7 +132,10 @@ def _parse_grid(text: str, cast=float) -> list:
         value = start + k * step
         if value > stop + 1e-9:
             break
-        values.append(cast(round(value, 10)))
+        value = round(value, 10)
+        if cast(value) != value:
+            raise ParameterError(f"cannot read grid {text!r}: {value:g} is not an integer")
+        values.append(cast(value))
         k += 1
     return values
 
@@ -144,7 +146,6 @@ def _parse_grid(text: str, cast=float) -> list:
 
 def cmd_estimate(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
     doc = empty_document()
 
     exam = ingest_exam_log(args.exam_log)
@@ -223,7 +224,7 @@ def cmd_estimate(args) -> int:
         )
 
     doc["missing"] = missing_fields(doc)
-    path = out / "params.json"
+    path = Path(args.out) / "params.json"
     save_parameters(doc, path)
     print(f"wrote {path}")
     if doc["missing"]:
@@ -243,8 +244,30 @@ def _resolve_protocol(args) -> tuple[int, int]:
     return trials, patients
 
 
+def _savings_cells(args, params: WorkflowParams) -> tuple[str, str, str]:
+    """Replicate one simulation point under the command's protocol: the mean
+    saving and its 95% range, formatted for the table."""
+    trials, patients = _resolve_protocol(args)
+    estimate = run_replications(
+        params, trials, patients, args.seed, burn_in=args.burn_in, workers=args.workers
+    )
+    return _fmt(estimate.mean_savings), _fmt(estimate.range95[0]), _fmt(estimate.range95[1])
+
+
+def _simulation_meta(args) -> dict:
+    """The metadata that sweep and roc-sweep share."""
+    trials, patients = _resolve_protocol(args)
+    return {
+        "seed": args.seed,
+        "n_trials": trials,
+        "n_patients": patients,
+        "burn_in": args.burn_in,
+        "params_file": os.path.basename(args.params),
+        "quick": bool(args.quick),
+    }
+
+
 def cmd_sweep(args) -> int:
-    out = _out_dir(args)
     doc = load_parameters(args.params)
     interarrival_grid = (
         _parse_grid(args.interarrival) if args.interarrival else DEFAULT_INTERARRIVAL_GRID
@@ -254,10 +277,8 @@ def cmd_sweep(args) -> int:
     )
     if not interarrival_grid or not radiologist_grid:
         raise ParameterError("sweep grids must be non-empty")
-    trials, patients = _resolve_protocol(args)
 
     rows = []
-    n_feasible = 0
     for interarrival in interarrival_grid:
         for c in radiologist_grid:
             try:
@@ -265,43 +286,22 @@ def cmd_sweep(args) -> int:
             except InfeasibleParametersError:
                 rows.append((_fmt(interarrival), c, "", "", "", "false"))
                 continue
-            estimate = run_replications(
-                params, trials, patients, args.seed, burn_in=args.burn_in, workers=args.workers
-            )
-            n_feasible += 1
-            rows.append(
-                (
-                    _fmt(interarrival),
-                    c,
-                    _fmt(estimate.mean_savings),
-                    _fmt(estimate.range95[0]),
-                    _fmt(estimate.range95[1]),
-                    "true",
-                )
-            )
+            rows.append((_fmt(interarrival), c, *_savings_cells(args, params), "true"))
+    n_feasible = sum(row[-1] == "true" for row in rows)
     if n_feasible == 0:
         raise InfeasibleParametersError(
             "every grid point has utilization >= 1; add radiologists or widen "
             "the inter-arrival grid"
         )
-    table = out / "sweep.csv"
-    _write_table(
-        table,
+    table = _emit(
+        args,
+        "sweep",
         ("interarrival", "n_radiologists", "mean_savings", "range95_low", "range95_high", "feasible"),
         rows,
-    )
-    _write_metadata(
-        out / "sweep_meta.json",
         {
-            "command": "sweep",
-            "seed": args.seed,
-            "n_trials": trials,
-            "n_patients": patients,
-            "burn_in": args.burn_in,
+            **_simulation_meta(args),
             "interarrival_grid": interarrival_grid,
             "radiologist_grid": radiologist_grid,
-            "params_file": os.path.basename(args.params),
-            "quick": bool(args.quick),
         },
     )
     print(f"wrote {table} ({n_feasible}/{len(rows)} feasible grid points)")
@@ -313,20 +313,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_roc_sweep(args) -> int:
-    out = _out_dir(args)
     doc = load_parameters(args.params)
     cfg = _load_config(args)
-    trials, patients = _resolve_protocol(args)
     n_points = args.points if args.points is not None else (
         QUICK_ROC_POINTS if args.quick else FULL_ROC_POINTS
     )
-    tpf_device = doc.get("device", {}).get("tpf")
-    fpf_device = doc.get("device", {}).get("fpf_adjusted")
-    if tpf_device is None or fpf_device is None:
-        raise ParameterError(
-            "parameter file lacks a device operating point (device.tpf / "
-            "device.fpf_adjusted)"
-        )
     if args.interarrival is not None:
         interarrival = args.interarrival
     else:
@@ -337,59 +328,37 @@ def cmd_roc_sweep(args) -> int:
                 "work-hour inter-arrival summary"
             )
         interarrival = float(block["mean"])
+    base = workflow_params_from_doc(doc, interarrival, args.radiologists)
 
     # The sweep curve lives in queue-adjusted FPF space: it passes through
     # the device's adjusted operating point, and its endpoints correspond to
     # flagging nothing and flagging the whole queue. The raw target-modality
     # FPF is reported alongside for reference.
-    curve = fit_from_point(float(tpf_device), float(fpf_device), slope=cfg.roc_slope)
+    curve = fit_from_point(base.device.tpf, base.device.fpf_adjusted, slope=cfg.roc_slope)
     counts = doc.get("counts", {})
     ratio = None
     if counts.get("n_non_pe_positive") and counts.get("n_non_chest_ct") is not None:
         ratio = counts["n_non_chest_ct"] / counts["n_non_pe_positive"]
-    base = workflow_params_from_doc(doc, interarrival, args.radiologists)
 
-    points = sample_operating_points(curve, n_points)
     rows = []
-    for fpf_adjusted, tpf in points:
+    for fpf_adjusted, tpf in sample_operating_points(curve, n_points):
         params = dataclasses.replace(
             base, device=DeviceOperatingPoint(tpf=tpf, fpf_adjusted=fpf_adjusted)
         )
-        estimate = run_replications(
-            params, trials, patients, args.seed, burn_in=args.burn_in, workers=args.workers
-        )
         fpf_raw = "" if ratio is None else _fmt(min(1.0, fpf_adjusted * (1.0 + ratio)))
-        rows.append(
-            (
-                fpf_raw,
-                _fmt(fpf_adjusted),
-                _fmt(tpf),
-                _fmt(estimate.mean_savings),
-                _fmt(estimate.range95[0]),
-                _fmt(estimate.range95[1]),
-            )
-        )
-    table = out / "roc_sweep.csv"
-    _write_table(
-        table,
+        rows.append((fpf_raw, _fmt(fpf_adjusted), _fmt(tpf), *_savings_cells(args, params)))
+    table = _emit(
+        args,
+        "roc_sweep",
         ("fpf_raw", "fpf_adjusted", "tpf", "mean_savings", "range95_low", "range95_high"),
         rows,
-    )
-    _write_metadata(
-        out / "roc_sweep_meta.json",
         {
-            "command": "roc-sweep",
-            "seed": args.seed,
-            "n_trials": trials,
-            "n_patients": patients,
-            "burn_in": args.burn_in,
+            **_simulation_meta(args),
             "n_points": n_points,
             "n_radiologists": args.radiologists,
             "interarrival": interarrival,
             "roc_slope": cfg.roc_slope,
             "curve_a": curve.a,
-            "params_file": os.path.basename(args.params),
-            "quick": bool(args.quick),
         },
     )
     print(f"wrote {table}")
@@ -401,7 +370,6 @@ def cmd_roc_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    out = _out_dir(args)
     arrival_rates = tuple(_parse_grid(args.arrival_rates))
     load = PriorityLoad(
         arrival_rates=arrival_rates, service_rate=args.service_rate, servers=args.servers
@@ -409,33 +377,23 @@ def cmd_oracle(args) -> int:
     fifo = mmc_fifo_wait(load.total_rate, load.service_rate, load.servers)
     waits = mmc_priority_wait(load)
 
-    simulated: dict[str, tuple[float, float]] = {}
+    header = ("class", "arrival_rate", "wq_analytic", "savings_vs_fifo")
+    rows = [("fifo", _fmt(load.total_rate), _fmt(fifo), _fmt(0.0))] + [
+        (f"class{k}", _fmt(lam), _fmt(wq), _fmt(fifo - wq))
+        for k, (lam, wq) in enumerate(zip(arrival_rates, waits), start=1)
+    ]
     if args.compare:
         if len(arrival_rates) > 2:
             raise ParameterError("--compare supports at most two priority classes")
         simulated = _oracle_compare(args, load, fifo, waits)
-
-    header = ["class", "arrival_rate", "wq_analytic", "savings_vs_fifo"]
-    if args.compare:
-        header += ["wq_simulated", "z_score"]
-    rows = []
-    fifo_row = ["fifo", _fmt(load.total_rate), _fmt(fifo), _fmt(0.0)]
-    if args.compare:
-        sim, z = simulated["fifo"]
-        fifo_row += [_fmt(sim), _fmt(z)]
-    rows.append(tuple(fifo_row))
-    for k, (lam, wq) in enumerate(zip(arrival_rates, waits), start=1):
-        row = [f"class{k}", _fmt(lam), _fmt(wq), _fmt(fifo - wq)]
-        if args.compare:
-            sim, z = simulated[f"class{k}"]
-            row += [_fmt(sim), _fmt(z)]
-        rows.append(tuple(row))
-    table = out / "oracle.csv"
-    _write_table(table, tuple(header), rows)
-    _write_metadata(
-        out / "oracle_meta.json",
+        header += ("wq_simulated", "z_score")
+        rows = [(*row, *(_fmt(x) for x in simulated[row[0]])) for row in rows]
+    table = _emit(
+        args,
+        "oracle",
+        header,
+        rows,
         {
-            "command": "oracle",
             "seed": args.seed,
             "arrival_rates": list(arrival_rates),
             "service_rate": args.service_rate,
@@ -490,7 +448,6 @@ def _oracle_compare(args, load: PriorityLoad, fifo: float, waits) -> dict:
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
     if cfg.boundary_date is None:
         raise ParameterError(
             "config must supply boundary_date (first day of the post period)"
@@ -519,12 +476,12 @@ def cmd_compare(args) -> int:
         welch = time_savings_test(pre, post)
         row += [_fmt(x) for x in (welch.diff_of_means, *welch.ci95, welch.p_one_sided)]
         rows.append(tuple(row))
-    table = out / "compare.csv"
-    _write_table(table, COMPARE_COLUMNS, rows)
-    _write_metadata(
-        out / "compare_meta.json",
+    table = _emit(
+        args,
+        "compare",
+        COMPARE_COLUMNS,
+        rows,
         {
-            "command": "compare",
             "boundary_date": cfg.boundary_date.isoformat(),
             "exam_log": os.path.basename(args.exam_log),
             "n_rows": exam.n_rows,
@@ -620,6 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     try:
         return args.func(args)
     except FormatError as exc:

@@ -12,7 +12,7 @@ from datetime import date, datetime, time
 
 import yaml
 
-from .errors import FormatError
+from .errors import FormatError, reading
 
 
 def _parse_clock(value) -> time:
@@ -62,7 +62,7 @@ class AnalysisConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "AnalysisConfig":
-        with open(path, encoding="utf-8") as handle:
+        with reading(path), open(path, encoding="utf-8") as handle:
             try:
                 raw = yaml.safe_load(handle) or {}
             except yaml.YAMLError as exc:

@@ -3,6 +3,7 @@
 The CLI maps these onto process exit codes, so library code should raise
 the most specific type that applies.
 """
+from contextlib import contextmanager
 
 
 class TriageSimError(Exception):
@@ -23,3 +24,15 @@ class InfeasibleParametersError(ParameterError):
 
 class InsufficientDataError(TriageSimError):
     """Not enough data survives filtering to compute the requested statistic (exit code 4)."""
+
+
+@contextmanager
+def reading(path):
+    """Report an input file that cannot be opened or is not UTF-8 text as a
+    FormatError that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: not UTF-8 text ({exc})") from exc

@@ -30,7 +30,7 @@ from scipy.optimize import minimize_scalar
 
 from .config import AnalysisConfig
 from .core import Cohort, Diagnosis, ExamClass, Location, ReaderRole
-from .errors import FormatError, InsufficientDataError, ParameterError
+from .errors import FormatError, InsufficientDataError, ParameterError, reading
 
 log = logging.getLogger(__name__)
 
@@ -159,7 +159,7 @@ def _read_rows(path, expected_columns: tuple[str, ...]):
 
     An entirely empty file yields nothing; a wrong header is fatal.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with reading(path), open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .core import DeviceOperatingPoint, WorkflowParams
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, reading
 
 SCHEMA_VERSION = 1
 # The dotted names of the fields estimate fills, each listed under "missing"
@@ -63,7 +63,7 @@ def save_parameters(doc: dict, path) -> None:
 
 def load_parameters(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with reading(path), open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc

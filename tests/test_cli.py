@@ -1,10 +1,11 @@
 import csv
 import filecmp
 import json
+import logging
 
 import pytest
 
-from triagesim import cli
+from triagesim import __version__, cli
 from triagesim.synthetic import SyntheticSpec, generate_corpus
 
 CONFIG_YAML = """\
@@ -155,6 +156,53 @@ class TestEstimate:
         assert cli.main(["estimate", "--exam-log", str(bad), "--out", str(tmp_path)]) == 2
 
 
+def _unreadable_case(case, corpus, params_file, tmp_path):
+    """The argv of one unreadable-input case and the path it must name."""
+    root, _ = corpus
+    exam_log, config = str(root / "exam_log.csv"), str(root / "config.yaml")
+    absent = tmp_path / "absent"
+    if case == "missing --exam-log":
+        return ["estimate", "--exam-log", str(absent)], absent
+    if case == "missing --closure-log":
+        return ["estimate", "--exam-log", exam_log, "--closure-log", str(absent)], absent
+    if case == "missing --config":
+        return ["compare", "--exam-log", exam_log, "--config", str(absent)], absent
+    if case == "missing --params":
+        return ["sweep", "--params", str(absent)], absent
+    if case == "directory as --exam-log":
+        return ["estimate", "--exam-log", str(tmp_path)], tmp_path
+    bad = tmp_path / "bad"
+    if case == "0xff in an exam log row":
+        lines = (root / "exam_log.csv").read_bytes().splitlines(keepends=True)
+        lines[5] = lines[5].replace(b",", b"\xff,", 1)
+        bad.write_bytes(b"".join(lines))
+        return ["estimate", "--exam-log", str(bad)], bad
+    assert case == "0xff in the params file"
+    bad.write_bytes(params_file.read_bytes().replace(b"schema_version", b"schema\xffversion"))
+    return ["sweep", "--params", str(bad)], bad
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "missing --exam-log",
+        "missing --closure-log",
+        "missing --config",
+        "missing --params",
+        "directory as --exam-log",
+        "0xff in an exam log row",
+        "0xff in the params file",
+    ],
+)
+def test_unreadable_input_exits_2(corpus, params_file, tmp_path, caplog, case):
+    argv, path = _unreadable_case(case, corpus, params_file, tmp_path)
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and f"cannot read {path}" in errors[0]
+    assert list(out.iterdir()) == []
+
+
 class TestSweep:
     def run_sweep(self, params_file, out, extra=()):
         return cli.main(
@@ -200,13 +248,22 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "flag, grid",
-        [("--radiologists", "2,x"), ("--radiologists", "2.5"), ("--interarrival", "1:2")],
+        [
+            ("--radiologists", "2,x"),
+            ("--radiologists", "2.5"),
+            ("--interarrival", "1:2"),
+            ("--radiologists", "2:5:0.5"),
+            ("--interarrival", "1:inf:1"),
+        ],
     )
     def test_unparseable_grid_exits_3(self, params_file, tmp_path, caplog, flag, grid):
         argv = ["sweep", "--params", str(params_file), flag, grid, "--trials", "2", "--patients", "500"]
         assert cli.main([*argv, "--out", str(tmp_path)]) == 3
         assert f"cannot read grid {grid!r}" in caplog.text
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_integer_range_grid(self):
+        assert cli._parse_grid("2:4:1", int) == [2, 3, 4]
 
     def test_burn_in_past_the_stream_exits_3(self, params_file, tmp_path):
         assert self.run_sweep(params_file, tmp_path, extra=("--burn-in", "2000")) == 3
@@ -497,3 +554,41 @@ class TestAnalysisSettings:
     def test_setting_moves_its_output(self, corpus, baseline, tmp_path, setting):
         output = SETTINGS[setting]
         assert output(*self.run(corpus, tmp_path, setting)) != output(*baseline)
+
+
+SIMULATION_META = {"seed", "n_trials", "n_patients", "burn_in", "params_file", "quick"}
+ORACLE_META = {"seed", "arrival_rates", "service_rate", "servers", "compare", "n_patients"}
+# Per case: the output stem and the metadata keys besides command and version.
+META_KEYS = {
+    "sweep": ("sweep", SIMULATION_META | {"interarrival_grid", "radiologist_grid"}),
+    "roc-sweep": (
+        "roc_sweep",
+        SIMULATION_META | {"n_points", "n_radiologists", "interarrival", "roc_slope", "curve_a"},
+    ),
+    "oracle": ("oracle", ORACLE_META),
+    "oracle --compare": ("oracle", ORACLE_META),
+    "compare": (
+        "compare",
+        {"boundary_date", "exam_log", "n_rows", "n_excluded_negative_tat", "n_duplicate_exam_id"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", META_KEYS)
+def test_metadata_keys(corpus, params_file, tmp_path, case):
+    root, _ = corpus
+    simulation = ["--params", str(params_file), "--trials", "2", "--patients", "500"]
+    oracle = ["oracle", "--arrival-rates", "0.06,0.14", "--service-rate", "0.2", "--servers", "2"]
+    argv = {
+        "sweep": ["sweep", *simulation, "--interarrival", "14", "--radiologists", "4"],
+        "roc-sweep": ["roc-sweep", *simulation, "--points", "2", "--interarrival", "12"],
+        "oracle": oracle,
+        "oracle --compare": [*oracle, "--compare", "--patients", "2000"],
+        "compare": ["compare", "--exam-log", str(root / "exam_log.csv"), "--config", str(root / "config.yaml")],
+    }[case]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    stem, keys = META_KEYS[case]
+    meta = json.loads((tmp_path / f"{stem}_meta.json").read_text())
+    assert set(meta) == keys | {"command", "triagesim_version"}
+    assert meta["command"] == argv[0]
+    assert meta["triagesim_version"] == __version__

@@ -5,8 +5,8 @@ companion (seed, grids, version) so a run can be reproduced exactly. Output
 is byte-identical for identical inputs and seed, regardless of worker count;
 nothing time- or host-dependent goes into the files.
 
-Exit codes: 0 success, 2 input-format error or unreadable input file,
-3 infeasible parameters, 4 insufficient data.
+Exit codes: 0 success, 2 input-format error, unreadable input file or
+unusable --out directory, 3 infeasible parameters, 4 insufficient data.
 """
 from __future__ import annotations
 
@@ -577,7 +577,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    Path(args.out).mkdir(parents=True, exist_ok=True)
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        log.error("cannot use --out %s as the output directory: %s", args.out, exc.strerror or exc)
+        return EXIT_FORMAT
     try:
         return args.func(args)
     except FormatError as exc:

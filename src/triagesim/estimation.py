@@ -63,7 +63,6 @@ class ExamLogIngest:
     reader_id: tuple[str, ...]
     reader_role: tuple[ReaderRole, ...]
     diagnosis: tuple[Diagnosis, ...]
-    location: tuple[Location, ...]
     n_excluded_negative: int
     n_duplicate_exam_id: int
     n_malformed: int
@@ -154,48 +153,54 @@ class _Tokens(dict):
         return member
 
 
-def _read_rows(path, expected_columns: tuple[str, ...]):
-    """Yield (line_number, field_list) for every row after the header.
+class _Rows:
+    """The rows of a log after its header, as lists of cells.
 
-    An entirely empty file yields nothing; a wrong header is fatal.
+    An empty file has no rows, a wrong header is fatal and a leading UTF-8
+    byte-order mark is ignored. The caller unpacks each row into its
+    len(columns) fields and parses them; a row that fails is handed to
+    reject(), which skips an all-blank row uncounted and logs any other,
+    with its line number, as malformed. n_rows counts the non-blank rows.
     """
-    with reading(path), open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
+
+    def __init__(self, path, columns: tuple[str, ...]):
+        self.path = path
+        self.columns = columns
+        self.line_no = 1
+        self.n_rows = self.n_blank = self.n_malformed = 0
+
+    def __iter__(self):
+        with reading(self.path), open(self.path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                return
+            names = tuple(h.strip().lower() for h in header)
+            if names != self.columns:
+                raise FormatError(f"{self.path}: expected columns {self.columns}, found {names}")
+            for self.line_no, self.row in enumerate(reader, start=2):
+                yield self.row
+        self.n_rows = self.line_no - 1 - self.n_blank
+
+    def reject(self, exc: ValueError) -> None:
+        row = self.row
+        if not any(cell.strip() for cell in row):
+            self.n_blank += 1
             return
-        names = tuple(h.strip().lower() for h in header)
-        if names != expected_columns:
-            raise FormatError(
-                f"{path}: expected columns {expected_columns}, found {names}"
-            )
-        yield from enumerate(reader, start=2)
-
-
-def _malformed(path, line_no: int, row: list[str], exc: ValueError) -> bool:
-    """Whether a row that failed to parse counts as malformed, in which case
-    it is logged; an all-blank row does not count."""
-    if not any(cell.strip() for cell in row):
-        return False
-    log.warning("%s line %d: skipping malformed row (%s)", path, line_no, exc)
-    return True
-
-
-def _fields(row: list[str], expected_columns: tuple[str, ...]) -> list[str]:
-    if len(row) != len(expected_columns):
-        raise ValueError(f"expected {len(expected_columns)} fields, found {len(row)}")
-    return row
+        if len(row) != len(self.columns):  # the caller's unpacking failed
+            exc = ValueError(f"expected {len(self.columns)} fields, found {len(row)}")
+        log.warning("%s line %d: skipping malformed row (%s)", self.path, self.line_no, exc)
+        self.n_malformed += 1
 
 
 def ingest_exam_log(path) -> ExamLogIngest:
     """Parse the exam report log into columns.
 
-    Rows that fail to parse are logged with their line number and skipped;
-    all-blank rows are skipped uncounted. A row whose exam_id an earlier
-    parsed row already had is excluded as a duplicate. Negative TATs arise
-    when a manually entered scan time postdates the automatically captured
-    report time; those rows are counted, not kept.
+    Rows are read and rejected as _Rows says. The location cell is checked
+    but not kept. A row whose exam_id an earlier parsed row already had is
+    excluded as a duplicate. Negative TATs arise when a manually entered
+    scan time postdates the automatically captured report time; those rows
+    are counted, not kept.
     """
     roles = _Tokens(_ROLE_TOKENS, "reader role")
     diagnoses = _Tokens(_DIAGNOSIS_TOKENS, "diagnosis")
@@ -205,26 +210,20 @@ def ingest_exam_log(path) -> ExamLogIngest:
     reader_ids: list[str] = []
     role_col: list[ReaderRole] = []
     diagnosis_col: list[Diagnosis] = []
-    location_col: list[Location] = []
     scan_utc, scan_wall, tat_us = array("q"), array("q"), array("q")
     seen: set[str] = set()
-    n_blank = n_malformed = n_duplicate = n_negative = 0
-    line_no = 1
-    for line_no, row in _read_rows(path, EXAM_LOG_COLUMNS):
+    n_duplicate = n_negative = 0
+    rows = _Rows(path, EXAM_LOG_COLUMNS)
+    for row in rows:
         try:
-            exam_id, scan, signed, reader_id, role, diagnosis, location = _fields(
-                row, EXAM_LOG_COLUMNS
-            )
+            exam_id, scan, signed, reader_id, role, diagnosis, location = row
             scan = _parse_timestamp(scan)
             signed = _parse_timestamp(signed)
             role = roles[role]
             diagnosis = diagnoses[diagnosis]
-            location = locations[location]
+            locations[location]  # checked, not kept
         except ValueError as exc:
-            if _malformed(path, line_no, row, exc):
-                n_malformed += 1
-            else:
-                n_blank += 1
+            rows.reject(exc)
             continue
         exam_id = exam_id.strip()
         if exam_id in seen:
@@ -243,7 +242,6 @@ def ingest_exam_log(path) -> ExamLogIngest:
         reader_ids.append(reader_id.strip())
         role_col.append(role)
         diagnosis_col.append(diagnosis)
-        location_col.append(location)
     return ExamLogIngest(
         exam_id=tuple(exam_ids),
         scan_utc_us=np.frombuffer(scan_utc, np.int64),
@@ -252,34 +250,29 @@ def ingest_exam_log(path) -> ExamLogIngest:
         reader_id=tuple(reader_ids),
         reader_role=tuple(role_col),
         diagnosis=tuple(diagnosis_col),
-        location=tuple(location_col),
         n_excluded_negative=n_negative,
         n_duplicate_exam_id=n_duplicate,
-        n_malformed=n_malformed,
-        n_rows=line_no - 1 - n_blank,
+        n_malformed=rows.n_malformed,
+        n_rows=rows.n_rows,
     )
 
 
 def ingest_closure_log(path) -> ClosureLogIngest:
     """Parse the case-closure log (reader, closure time, exam class) into
-    columns, skipping rows as ingest_exam_log does."""
+    columns, rejecting rows as ingest_exam_log does."""
     classes = _Tokens(_CLASS_TOKENS, "exam class")
     offsets = _Offsets()
     reader_ids: list[str] = []
     class_col: list[ExamClass] = []
     closed_utc, closed_wall = array("q"), array("q")
-    n_blank = n_malformed = 0
-    line_no = 1
-    for line_no, row in _read_rows(path, CLOSURE_LOG_COLUMNS):
+    rows = _Rows(path, CLOSURE_LOG_COLUMNS)
+    for row in rows:
         try:
-            reader_id, closed, exam_class = _fields(row, CLOSURE_LOG_COLUMNS)
+            reader_id, closed, exam_class = row
             closed = _parse_timestamp(closed)
             exam_class = classes[exam_class]
         except ValueError as exc:
-            if _malformed(path, line_no, row, exc):
-                n_malformed += 1
-            else:
-                n_blank += 1
+            rows.reject(exc)
             continue
         utc = (closed - _EPOCH) // _US
         closed_utc.append(utc)
@@ -291,8 +284,8 @@ def ingest_closure_log(path) -> ClosureLogIngest:
         closed_utc_us=np.frombuffer(closed_utc, np.int64),
         closed_wall_us=np.frombuffer(closed_wall, np.int64),
         exam_class=tuple(class_col),
-        n_malformed=n_malformed,
-        n_rows=line_no - 1 - n_blank,
+        n_malformed=rows.n_malformed,
+        n_rows=rows.n_rows,
     )
 
 
@@ -434,13 +427,13 @@ class ExponentialFit:
     n: int
 
 
-def _runs(keys: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) of each run of equal values in keys."""
-    if keys.size == 0:
-        return []
-    edges = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    bounds = [0, *edges.tolist(), int(keys.size)]
-    return list(zip(bounds[:-1], bounds[1:]))
+def _groups(key: np.ndarray, values: np.ndarray):
+    """(key, values) for each distinct key in ascending order; a stable sort
+    keeps each key's values in their given order."""
+    order = np.argsort(key, kind="stable")
+    key, values = key[order], values[order]
+    edges = np.flatnonzero(key[1:] != key[:-1]) + 1
+    return zip(np.r_[key[:1], key[edges]].tolist(), np.split(values, edges))
 
 
 def daily_interarrival_fits(
@@ -459,23 +452,21 @@ def daily_interarrival_fits(
     day, block = cohort_blocks(np.asarray(wall_us)[order], cfg)
     same = (day[1:] == day[:-1]) & (block[1:] == block[:-1])
     gaps = np.diff(utc)[same] / 1e6 / 60.0
-    # Group by (day, cohort), off-hours first as "off" < "work"; the stable
-    # sort keeps each group's gaps in arrival order.
+    # Grouped by (day, cohort), off-hours first as "off" < "work", each
+    # group's gaps in arrival order.
     key = day[1:][same] * 2 + (block[1:][same] == WORK_BLOCK)
-    by_key = np.argsort(key, kind="stable")
-    gaps, key = gaps[by_key], key[by_key]
     fits = []
     min_gaps = max(cfg.min_daily_gaps, 2)  # a single gap cannot constrain a fit
-    for lo, hi in _runs(key):
-        day_number, work = divmod(int(key[lo]), 2)
+    for group_key, group in _groups(key, gaps):
+        day_number, work = divmod(group_key, 2)
         day_of_fit = date.fromordinal(_EPOCH_ORDINAL + day_number)
         cohort = Cohort.WORK_HOUR if work else Cohort.OFF_HOUR
-        if hi - lo < min_gaps:
+        if group.size < min_gaps:
             log.info(
-                "skipping %s %s: %d gaps < minimum %d", day_of_fit, cohort.value, hi - lo, min_gaps
+                "skipping %s %s: %d gaps < minimum %d", day_of_fit, cohort.value, group.size, min_gaps
             )
             continue
-        fit = fit_exponential_histogram(gaps[lo:hi], cfg.interarrival_bin_minutes, cfg.weighted_fits)
+        fit = fit_exponential_histogram(group, cfg.interarrival_bin_minutes, cfg.weighted_fits)
         fits.append(
             ExponentialFit(day_of_fit, cohort, fit.mean, fit.mean_sample, fit.r2, fit.n)
         )
@@ -605,19 +596,16 @@ def estimate_read_times(
     gaps = np.diff(utc)[pair] / 1e6 / 60.0
     over = gaps > cfg.max_read_gap_minutes
     n_gaps_over = int(over.sum())
-    # Group by (reader, class of the later closure); the stable sort keeps
-    # each group's gaps in chain order.
+    # Grouped by (reader, class of the later closure), each group's gaps in
+    # chain order.
     key = (reader[1:][pair] * len(classes) + exam_class[1:][pair])[~over]
-    gaps = gaps[~over]
-    by_key = np.argsort(key, kind="stable")
-    gaps, key = gaps[by_key], key[by_key]
 
     per_reader: list[ReaderClassFit] = []
-    for lo, hi in _runs(key):
-        if hi - lo < cfg.min_gaps_per_fit:
+    for group_key, group in _groups(key, gaps[~over]):
+        if group.size < cfg.min_gaps_per_fit:
             continue
-        code, k = divmod(int(key[lo]), len(classes))
-        fit = fit_exponential_histogram(gaps[lo:hi], cfg.readtime_bin_minutes, cfg.weighted_fits)
+        code, k = divmod(group_key, len(classes))
+        fit = fit_exponential_histogram(group, cfg.readtime_bin_minutes, cfg.weighted_fits)
         per_reader.append(ReaderClassFit(readers[code], classes[k], fit.mean, fit.n, fit.r2))
 
     per_class: dict[ExamClass, ClassReadTime] = {}

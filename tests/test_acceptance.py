@@ -10,6 +10,10 @@ in progress), compared with FIFO on the same patient streams.
 """
 import filecmp
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -200,6 +204,16 @@ class TestCriterion3RocEndpoints:
         )
 
 
+def _class_waits(discipline, burn, params, index):
+    """One trial's mean waits of flagged and of unflagged exams after burn-in,
+    and the number of each."""
+    stream = generate_stream(params, 100_000, trial_stream(SEED, index))
+    out = replay_stream(stream, params.n_radiologists, discipline)
+    keep = slice(burn, None)
+    wait, flagged = out.wait[keep], out.flagged[keep]
+    return (wait[flagged].mean(), wait[~flagged].mean()), (flagged.sum(), (~flagged).sum())
+
+
 def worst_class_wait_z(discipline, oracle, grid, first_point):
     """Largest |z| of simulated against analytic class waits over a grid.
 
@@ -219,7 +233,7 @@ def worst_class_wait_z(discipline, oracle, grid, first_point):
     mu = 1.0 / service_mean
     trials = 16
     burn = 2000
-    worst = 0.0
+    points = []
     for point, (c, rho, flag_fraction) in enumerate(grid, start=first_point):
         lam = rho * c * mu
         params = WorkflowParams(
@@ -230,17 +244,27 @@ def worst_class_wait_z(discipline, oracle, grid, first_point):
             read_time_nondiseased_effective=service_mean,
             device=DeviceOperatingPoint(tpf=1.0, fpf_adjusted=0.0),
         )
+        points.append((point, params, (lam * flag_fraction, lam * (1 - flag_fraction))))
+    # Every trial is seeded by its own (point, trial) key, so the trials fan
+    # out to processes; map() returns them in order, which keeps each z
+    # exactly what a serial loop gives.
+    ctx = multiprocessing.get_context("forkserver")
+    with ProcessPoolExecutor(max_workers=min(4, os.cpu_count() or 1), mp_context=ctx) as pool:
+        results = list(
+            pool.map(
+                partial(_class_waits, discipline, burn),
+                [params for _, params, _ in points for _ in range(trials)],
+                [point * 1000 + t for point, _, _ in points for t in range(trials)],
+            )
+        )
+    worst = 0.0
+    for k, (_, params, rates) in enumerate(points):
+        c = params.n_radiologists
         means = np.empty((trials, 2))
         counts = np.zeros(2)
-        for t in range(trials):
-            stream = generate_stream(params, 100_000, trial_stream(SEED, point * 1000 + t))
-            out = replay_stream(stream, c, discipline)
-            keep = slice(burn, None)
-            wait, flagged = out.wait[keep], out.flagged[keep]
-            means[t, 0] = wait[flagged].mean()
-            means[t, 1] = wait[~flagged].mean()
-            counts += (flagged.sum(), (~flagged).sum())
-        rates = (lam * flag_fraction, lam * (1 - flag_fraction))
+        for t, (class_means, n) in enumerate(results[k * trials : (k + 1) * trials]):
+            means[t] = class_means
+            counts += n
         analytic = oracle(PriorityLoad(rates, mu, c))
         for col, expected in enumerate(analytic):
             sample = means[:, col]

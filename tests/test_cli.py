@@ -203,6 +203,21 @@ def test_unreadable_input_exits_2(corpus, params_file, tmp_path, caplog, case):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["oracle", "estimate"])
+def test_out_naming_a_file_exits_2(corpus, tmp_path, caplog, command):
+    root, _ = corpus
+    argv = {
+        "oracle": ["oracle", "--arrival-rates", "0.1", "--service-rate", "0.2", "--servers", "1"],
+        "estimate": ["estimate", "--exam-log", str(root / "exam_log.csv")],
+    }[command]
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and f"--out {out} " in errors[0]
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == "a file\n"
+
+
 class TestSweep:
     def run_sweep(self, params_file, out, extra=()):
         return cli.main(

@@ -104,12 +104,15 @@ class TestIngestExamLog:
             + "E3,too,few\n"
             + exam_row(4, good, good + timedelta(minutes=9), dx="Wrong")
             + exam_row(5, good, good + timedelta(minutes=7), dx="positive", loc="Emergency Department")
+            + exam_row(6, good, good + timedelta(minutes=6), loc="Moon Base")
         )
         with caplog.at_level("WARNING"):
             result = ingest_exam_log(path)
         assert len(result.exam_id) == 2
-        assert result.n_malformed == 3
+        assert result.n_malformed == 4
         assert "line 3" in caplog.text
+        # The location column is not kept, but an unknown location still rejects its row.
+        assert "line 7: skipping malformed row (unknown location 'Moon Base')" in caplog.text
 
     def test_naive_timestamp_rejected(self, tmp_path):
         path = tmp_path / "exam.csv"

@@ -9,107 +9,115 @@ rather than to the servers, the same stream can be replayed under FIFO and
 either priority ordering (common random numbers), which is how paired
 time-savings are computed.
 
-Two plain-Python kernels do the replay. FIFO needs only each reader's
-free-at time, kept in a heap (the Kiefer-Wolfowitz workload recursion).
-Both priority disciplines share an arrival-driven kernel: a heap of
-(busy-until, exam) pairs and two queues, flagged and unflagged; preemption
-is a slow path taken only when a flagged arrival finds every reader busy.
-Inputs are read and outputs written through memoryviews of the numpy
-arrays, so no per-exam Python list is built.
+One plain-Python kernel does the replay, with no JIT or compiled extension.
+It dispatches exams in the order their reads begin, keeping only each
+reader's free-at time in a heap: an exam starts at the later of its arrival
+and the earliest free-at time tau (the Kiefer-Wolfowitz recursion; Kiefer
+and Wolfowitz, Trans. AMS 78, 1955). Unflagged exams go in id order on a
+fast path. The stream is drawn in advance, so the arrival a_f of the next
+flagged exam f is known, and the fast path is left only when the next
+unflagged exam p would start at or after it, or when an interrupted read
+waits to resume. The dispatch rules there all follow from "completions
+before arrivals at equal times":
+
+- f goes before p iff (a_f, f) < (s_p, p), where s_p = max(a_p, tau);
+- a waiting resume goes before p, and f goes before it iff a_f < tau;
+- f starts at a_f if a reader is free then. Otherwise, under preemption,
+  it takes the reader of the unflagged exam in service with the highest id,
+  which waits on a LIFO stack to resume with its remaining read time; if
+  every reader holds a flagged exam, f starts at tau.
+
+FIFO is the same loop with no flags. Inputs are read and outputs written
+through memoryviews of the numpy arrays, so no per-exam Python list is
+built.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import multiprocessing
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import chain, compress
 
 import numpy as np
 
 from .core import QueueDiscipline, WorkflowParams, trial_stream
 from .errors import ParameterError
 
-def _serve_fifo(arrival, service, n_servers):
-    # Kiefer-Wolfowitz recursion: a heap holds each reader's free-at time,
-    # and exam i starts at the later of its arrival and the earliest of them.
-    # Which reader takes an exam does not change any start time, so the
-    # event tie rules of _serve_priority need no counterpart here.
-    start = np.empty(len(arrival), np.float64)
-    out = memoryview(start)
-    free = [-math.inf] * n_servers
-    for i, (t, s) in enumerate(zip(memoryview(arrival), memoryview(service))):
-        first = free[0]
-        t0 = t if t >= first else first
-        out[i] = t0
-        heapq.heapreplace(free, t0 + s)
-    return start, np.zeros(len(arrival), np.float64)
 
-
-def _serve_priority(arrival, service, flagged, n_servers, preempt):
-    # Arrival-driven replay with flagged exams dispatched first. Before each
-    # arrival, every completion at or before it is handled, so completions
-    # come before arrivals at equal times; the heap of (busy_until, exam)
-    # pairs hands out simultaneous completions lowest exam id first. A freed
-    # reader immediately pulls from the queues, so no reader idles while
-    # anyone waits.
-    # With preempt, a flagged arrival that finds every reader busy takes the
-    # reader of the in-service unflagged exam that arrived last (highest id);
-    # that exam goes to the head of the unflagged queue and later resumes
-    # with its remaining read time. Returns each exam's first start and its
-    # total time spent suspended (0.0 unless it was interrupted).
+def _serve(arrival, service, flagged, n_servers, preempt):
+    # The dispatch-order kernel of the module docstring. p is the next
+    # unflagged exam and t0 its start if it went now; f is the next flagged
+    # exam and a_f its arrival; gate is a_f, or -inf while a resume waits.
+    # Returns each exam's first start and its total time spent suspended
+    # (0.0 unless it was interrupted).
     n = len(arrival)
     start = np.empty(n, np.float64)
     suspended = np.zeros(n, np.float64)
     arr, svc, flg = memoryview(arrival), memoryview(service), memoryview(flagged)
     out, susp = memoryview(start), memoryview(suspended)
-    busy = []  # heap of (busy_until, exam)
-    queue_flag = deque()
-    queue_plain = deque()
-    interrupted = {}  # exam -> (time it was interrupted, read time left)
-    for i in range(n + 1):
-        t = arr[i] if i < n else math.inf
-        while busy and busy[0][0] <= t:
-            t_done = busy[0][0]
-            if queue_flag:
-                nxt = queue_flag.popleft()
-            elif queue_plain:
-                nxt = queue_plain.popleft()
+    flag_ids = chain(memoryview(np.flatnonzero(flagged)), (n,))  # then n: none left
+    free = [-math.inf] * min(n_servers, n)
+    stack = []  # (exam, paused at, read time left) of interrupted exams
+    resumed = {}  # exam -> completion after its last resume, -inf while paused
+    flag_until = []  # heap of completions of flagged exams, pruned to those > a_f
+    f = next(flag_ids)
+    a_f = gate = arr[f] if f < n else math.inf
+    exams = zip(range(n), arr, svc)
+    if f < n:
+        # Unflagged exams only, then a sentinel past the last of them that
+        # dispatches whatever is still pending.
+        exams = chain(compress(exams, memoryview(~flagged)), ((n, math.inf, 0.0),))
+    for p, a, s in exams:
+        t0 = free[0]
+        if a > t0:
+            t0 = a
+        while t0 >= gate:
+            tau = free[0]
+            if stack and not a_f < tau:  # the last interrupted read resumes
+                e, paused_at, left = stack.pop()
+                susp[e] += tau - paused_at
+                resumed[e] = tau + left
+                heapreplace(free, tau + left)
+            elif stack or a_f < t0 or (a_f == t0 and f < p):  # f goes next
+                s_f = svc[f]
+                while flag_until and flag_until[0] <= a_f:
+                    heappop(flag_until)
+                if tau <= a_f:
+                    out[f] = a_f
+                    heapreplace(free, a_f + s_f)
+                elif preempt and len(flag_until) < len(free):
+                    # Some reader holds an unflagged exam. Every unflagged
+                    # exam below p has started by a_f, so the one in service
+                    # with the highest id is the first found walking down
+                    # from p - 1 that is neither done nor paused.
+                    e = p - 1
+                    while flg[e] or (until := resumed.get(e, out[e] + svc[e])) <= a_f:
+                        e -= 1
+                    stack.append((e, a_f, until - a_f))
+                    resumed[e] = -math.inf
+                    out[f] = a_f
+                    free[free.index(until)] = a_f + s_f
+                    heapify(free)
+                else:
+                    out[f] = tau
+                    heapreplace(free, tau + s_f)
+                if preempt:
+                    heappush(flag_until, out[f] + s_f)
+                f = next(flag_ids)
+                a_f = arr[f] if f < n else math.inf
+            elif p < n:  # p goes next
+                break
             else:
-                heapq.heappop(busy)
-                continue
-            paused = interrupted.pop(nxt, None)
-            if paused is None:
-                out[nxt] = t_done
-                heapq.heapreplace(busy, (t_done + svc[nxt], nxt))
-            else:
-                paused_at, left = paused
-                susp[nxt] += t_done - paused_at
-                heapq.heapreplace(busy, (t_done + left, nxt))
-        if i == n:
-            break
-        if len(busy) < n_servers:
-            out[i] = t
-            heapq.heappush(busy, (t + svc[i], i))
-        elif not flg[i]:
-            queue_plain.append(i)
-        else:
-            victim = last = -1
-            if preempt:
-                for k, (_, e) in enumerate(busy):
-                    if e > last and not flg[e]:
-                        victim, last = k, e
-            if victim < 0:
-                queue_flag.append(i)
-                continue
-            until, e = busy[victim]
-            interrupted[e] = (t, until - t)
-            queue_plain.appendleft(e)
-            out[i] = t
-            busy[victim] = (t + svc[i], i)
-            heapq.heapify(busy)
+                return start, suspended
+            gate = -math.inf if stack else a_f
+            t0 = free[0]
+            if a > t0:
+                t0 = a
+        out[p] = t0
+        heapreplace(free, t0 + s)
     return start, suspended
 
 
@@ -194,19 +202,30 @@ class SavingsEstimate:
 def replay_stream(
     stream: PatientStream, n_servers: int, discipline: QueueDiscipline
 ) -> ExamOutcomes:
-    """Serve a pre-drawn stream through the queue under one discipline."""
+    """Serve a pre-drawn stream through the queue under one discipline.
+
+    Raises ParameterError unless n_servers is an integer >= 1, the stream's
+    arrays have one length, arrivals are nondecreasing and every read time
+    is finite and >= 0.
+    """
+    servers = np.asarray(n_servers)
+    kind = servers.dtype.kind
+    if servers.ndim or kind not in "iuf" or not 1 <= servers < math.inf or servers % 1:
+        raise ParameterError(f"n_servers must be an integer >= 1, got {n_servers!r}")
     arrival = np.ascontiguousarray(stream.arrival, np.float64)
     service = np.ascontiguousarray(stream.service, np.float64)
+    flagged = np.ascontiguousarray(stream.flagged, np.bool_)
+    shapes = {np.shape(x) for x in (service, stream.diseased, flagged)}
+    if arrival.ndim != 1 or shapes != {arrival.shape}:
+        raise ParameterError("the stream's arrays must be 1-d and of one length")
+    if (arrival[1:] < arrival[:-1]).any():
+        raise ParameterError("arrival times must be nondecreasing")
+    if not (np.isfinite(service).all() and (service >= 0).all()):
+        raise ParameterError("read times must be finite and >= 0")
     if discipline is QueueDiscipline.FIFO:
-        start, suspended = _serve_fifo(arrival, service, int(n_servers))
-    else:
-        start, suspended = _serve_priority(
-            arrival,
-            service,
-            np.ascontiguousarray(stream.flagged, np.bool_),
-            int(n_servers),
-            discipline is QueueDiscipline.AI_PRIORITY_PREEMPTIVE,
-        )
+        flagged = np.zeros_like(flagged)
+    preempt = discipline is QueueDiscipline.AI_PRIORITY_PREEMPTIVE
+    start, suspended = _serve(arrival, service, flagged, int(servers), preempt)
     return ExamOutcomes(
         stream.arrival, start, stream.service, stream.diseased, stream.flagged, suspended
     )

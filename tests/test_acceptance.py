@@ -514,7 +514,7 @@ class TestCriterion9Determinism:
             "3000",
         ]
         for name, extra in (("a", []), ("b", []), ("c", ["--workers", "4"])):
-            assert cli.main(base + ["--out", str(tmp_path / name)]) == 0
+            assert cli.main(base + extra + ["--out", str(tmp_path / name)]) == 0
         reruns_equal = filecmp.cmp(
             tmp_path / "a" / "sweep.csv", tmp_path / "b" / "sweep.csv", shallow=False
         )

@@ -1,4 +1,4 @@
-"""Differential check of the heap kernels against the reference event-scan
+"""Differential check of the heap kernel against the reference event-scan
 kernel in reference_kernel.py: start and suspended times must be equal bit
 for bit under every discipline. Then properties every replay must have,
 checked with hypothesis over small random streams.
@@ -55,8 +55,12 @@ def studied(mean_interarrival, n_radiologists, device=DeviceOperatingPoint(0.906
         (studied(0.45, 16), 30_000),  # 16 readers at utilisation 0.86
         # a 42% flag share, so that preemption is frequent
         (studied(2.3, 3, DeviceOperatingPoint(0.906, 0.42)), 30_000),
+        # one reader at utilisation 0.98, so queues and resumes run long
+        (studied(6.3, 1), 30_000),
+        # two readers with half the exams flagged
+        (studied(3.5, 2, DeviceOperatingPoint(0.906, 0.5)), 30_000),
     ],
-    ids=["work-hour", "off-hour", "c16", "flag-share-42"],
+    ids=["work-hour", "off-hour", "c16", "flag-share-42", "c1-rho-98", "c2-flag-share-50"],
 )
 def test_continuous_streams_match_reference(params, n_patients):
     stream = generate_stream(params, n_patients, trial_stream(42, 0))
@@ -81,6 +85,21 @@ def test_integer_streams_match_reference():
     # Most streams must contain a completion at an arrival instant, or the
     # tie rules went untested.
     assert tied > N_INTEGER_STREAMS // 2
+
+
+def test_long_integer_streams_match_reference():
+    # Long streams with read times up to 4c + 1 keep several readers busy
+    # for many arrivals, so a preemption often has to pass over unflagged
+    # exams that have already finished or are themselves interrupted to
+    # find the one in service with the highest id.
+    rng = np.random.default_rng(2025)
+    for _ in range(300):
+        n = int(rng.integers(100, 500))
+        n_servers = int(rng.integers(1, 9))
+        arrival = np.cumsum(rng.integers(0, 3, n)).astype(float)
+        service = rng.integers(1, 4 * n_servers + 2, n).astype(float)
+        flagged = rng.random(n) < rng.random()
+        assert_matches_reference(PatientStream(arrival, service, flagged, flagged), n_servers)
 
 
 # Properties every replay must have, over small random streams. Integer

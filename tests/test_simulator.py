@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from reference_kernel import _serve_queue_impl
 
 from triagesim import (
     DeviceOperatingPoint,
@@ -40,6 +41,16 @@ def hand_stream(arrival, service, flagged):
     return PatientStream(
         np.array(arrival, dtype=float), np.array(service, dtype=float), flagged, flagged
     )
+
+
+def preemptive_matching_reference(stream, n_servers):
+    """The preemptive replay, checked bit for bit against the reference kernel."""
+    out = replay_stream(stream, n_servers, QueueDiscipline.AI_PRIORITY_PREEMPTIVE)
+    start, suspended = _serve_queue_impl(
+        stream.arrival, stream.service, stream.flagged, n_servers, True, True
+    )
+    assert np.array_equal(out.start, start) and np.array_equal(out.suspended, suspended)
+    return out
 
 
 def assert_outcomes_equal(a, b):
@@ -106,6 +117,35 @@ class TestSingleTrial:
         for burn_in in (-1, 10):
             with pytest.raises(ParameterError, match="burn_in"):
                 run_replications(params, 2, 10, 1, burn_in=burn_in)
+
+    @pytest.mark.parametrize(
+        "arrival, service, n_servers",
+        [
+            ([0.0, 1.0], [1.0, 1.0], 0),
+            ([0.0, 1.0], [1.0, 1.0], -1),
+            ([0.0, 1.0], [1.0, 1.0], 2.5),
+            ([5.0, 1.0], [1.0, 1.0], 1),
+            ([0.0, 1.0, 2.0], [1.0, 1.0], 1),
+            ([0.0, 1.0], [1.0, -1.0], 1),
+            ([0.0, 1.0], [1.0, np.nan], 1),
+        ],
+        ids=[
+            "no readers",
+            "negative readers",
+            "fractional readers",
+            "decreasing arrivals",
+            "fewer read times than arrivals",
+            "negative read time",
+            "nan read time",
+        ],
+    )
+    def test_replay_rejects_bad_inputs(self, arrival, service, n_servers):
+        flagged = np.zeros(len(arrival), bool)
+        flagged[-1] = True
+        stream = PatientStream(np.array(arrival), np.array(service), flagged, flagged)
+        for discipline in QueueDiscipline:
+            with pytest.raises(ParameterError):
+                replay_stream(stream, n_servers, discipline)
 
     def test_burn_in_excluded_from_counts(self):
         # Trial k's saving is the mean over the diseased exams after the
@@ -233,6 +273,54 @@ class TestPreemptiveResume:
         out = replay_stream(stream, 2, QueueDiscipline.AI_PRIORITY_PREEMPTIVE)
         assert out.start.tolist() == [0.0, 0.5, 5.0, 6.0]
         assert out.completion.tolist() == [5.0, 6.5, 6.0, 7.0]
+        assert not out.suspended.any()
+
+    def test_read_interrupted_twice_sums_both_pauses(self):
+        # One reader: exam 0 is paused from 2 to 5 by exam 1, resumes with 8
+        # minutes left, is paused again from 7 to 9 by exam 2 and finishes
+        # its last 6 minutes at 15.
+        stream = hand_stream([0.0, 2.0, 7.0], [10.0, 3.0, 2.0], [False, True, True])
+        out = preemptive_matching_reference(stream, 1)
+        assert out.start.tolist() == [0.0, 2.0, 7.0]
+        assert out.suspended.tolist() == [5.0, 0.0, 0.0]
+        assert out.completion.tolist() == [15.0, 5.0, 9.0]
+
+    def test_waiting_resumes_go_last_in_first_out(self):
+        # Two readers: flagged exam 2 interrupts exam 1 at 2, then flagged
+        # exam 3 interrupts exam 0 at 3. Exam 0, interrupted last, resumes
+        # first, when exam 2 finishes at 7; exam 1 resumes at 8.
+        stream = hand_stream(
+            [0.0, 1.0, 2.0, 3.0], [10.0, 10.0, 5.0, 5.0], [False, False, True, True]
+        )
+        out = preemptive_matching_reference(stream, 2)
+        assert out.start.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert out.suspended.tolist() == [4.0, 6.0, 0.0, 0.0]
+        assert out.completion.tolist() == [14.0, 17.0, 7.0, 8.0]
+
+    def test_flagged_arrival_at_a_completion_interrupts_the_exam_that_took_it(self):
+        # One reader frees at 4, the instant flagged exam 2 arrives. The
+        # completion comes first, so waiting exam 1 starts at 4 and is at
+        # once interrupted with its whole read time left.
+        stream = hand_stream([0.0, 1.0, 4.0], [4.0, 3.0, 2.0], [False, False, True])
+        out = preemptive_matching_reference(stream, 1)
+        assert out.start.tolist() == [0.0, 4.0, 4.0]
+        assert out.suspended.tolist() == [0.0, 2.0, 0.0]
+        assert out.completion.tolist() == [4.0, 9.0, 6.0]
+        plain = replay_stream(stream, 1, QueueDiscipline.AI_PRIORITY)
+        assert plain.start.tolist() == [0.0, 4.0, 7.0]
+
+    def test_flagged_exams_queue_in_order_behind_flagged_reads(self):
+        # Both readers hold flagged exams (until 5 and 8) when flagged exams
+        # 3 and 4 arrive, so nothing is interrupted: exam 3 takes the reader
+        # freed at 5, exam 4 the one freed at 7, and unflagged exam 2, which
+        # arrived before both, waits until 8.
+        stream = hand_stream(
+            [0.0, 1.0, 1.5, 2.0, 3.0],
+            [5.0, 7.0, 1.0, 2.0, 1.0],
+            [True, True, False, True, True],
+        )
+        out = preemptive_matching_reference(stream, 2)
+        assert out.start.tolist() == [0.0, 1.0, 8.0, 5.0, 7.0]
         assert not out.suspended.any()
 
     def test_identical_to_fifo_when_nothing_flagged(self):

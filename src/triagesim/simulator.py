@@ -205,8 +205,8 @@ def replay_stream(
     """Serve a pre-drawn stream through the queue under one discipline.
 
     Raises ParameterError unless n_servers is an integer >= 1, the stream's
-    arrays have one length, arrivals are nondecreasing and every read time
-    is finite and >= 0.
+    arrays have one length, arrivals are finite and nondecreasing and every
+    read time is finite and >= 0.
     """
     servers = np.asarray(n_servers)
     kind = servers.dtype.kind
@@ -218,8 +218,8 @@ def replay_stream(
     shapes = {np.shape(x) for x in (service, stream.diseased, flagged)}
     if arrival.ndim != 1 or shapes != {arrival.shape}:
         raise ParameterError("the stream's arrays must be 1-d and of one length")
-    if (arrival[1:] < arrival[:-1]).any():
-        raise ParameterError("arrival times must be nondecreasing")
+    if not np.isfinite(arrival).all() or (arrival[1:] < arrival[:-1]).any():
+        raise ParameterError("arrival times must be finite and nondecreasing")
     if not (np.isfinite(service).all() and (service >= 0).all()):
         raise ParameterError("read times must be finite and >= 0")
     if discipline is QueueDiscipline.FIFO:

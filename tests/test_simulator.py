@@ -125,6 +125,7 @@ class TestSingleTrial:
             ([0.0, 1.0], [1.0, 1.0], -1),
             ([0.0, 1.0], [1.0, 1.0], 2.5),
             ([5.0, 1.0], [1.0, 1.0], 1),
+            ([0.0, np.nan], [1.0, 1.0], 1),
             ([0.0, 1.0, 2.0], [1.0, 1.0], 1),
             ([0.0, 1.0], [1.0, -1.0], 1),
             ([0.0, 1.0], [1.0, np.nan], 1),
@@ -134,6 +135,7 @@ class TestSingleTrial:
             "negative readers",
             "fractional readers",
             "decreasing arrivals",
+            "nan arrival",
             "fewer read times than arrivals",
             "negative read time",
             "nan read time",

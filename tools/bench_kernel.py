@@ -1,15 +1,18 @@
 """CPU cost of one replay of 100,000 exams, per discipline, flag share and
 reader count, for two checkouts of triagesim measured side by side.
 
-    python tools/bench_kernel.py BASE_SRC NEW_SRC [--runs 15] [--out FILE]
+    python tools/bench_kernel.py BASE_SRC NEW_SRC > regimes.json
 
 BASE_SRC and NEW_SRC are the ``src`` directories of the two checkouts. Both
 packages are imported into one process under different names. For each
 (flag share, readers) regime one stream is drawn at utilisation 0.9, and
 each discipline's replay of it is timed with ``time.process_time``, the two
-checkouts in turn, alternating which goes first, ``--runs`` times. The
-result, written as JSON, is each regime's median CPU seconds per checkout
-and the share of runs in which the new checkout was faster.
+checkouts in turn, alternating which goes first, RUNS times. The result,
+printed to stdout as JSON, is each regime's median CPU seconds per checkout
+and the number of runs in which the new checkout was faster. It holds the
+method, machine and ``regimes`` sections of BENCH_kernel.json; that file's
+``base``, ``new``, ``perfbench`` and ``claim`` sections come from
+``perfbench/run.py`` runs and are not written here.
 """
 import argparse
 import importlib
@@ -24,6 +27,7 @@ import time
 import numpy as np
 
 N_EXAMS = 100_000
+RUNS = 15
 RHO = 0.9
 FLAG_SHARES = (0.005, 0.064, 0.42)
 READERS = (1, 3, 16)
@@ -54,8 +58,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_src")
     parser.add_argument("new_src")
-    parser.add_argument("--runs", type=int, default=15)
-    parser.add_argument("--out", default="BENCH_kernel.json")
     args = parser.parse_args()
     sides = {"base": load("base_triagesim", args.base_src), "new": load("new_triagesim", args.new_src)}
     package, simulator = sides["new"]
@@ -71,7 +73,7 @@ def main():
             stream = simulator.generate_stream(params, N_EXAMS, package.trial_stream(12, 10 * i + c))
             for discipline in package.QueueDiscipline:
                 cpu = {"base": [], "new": []}
-                for r in range(args.runs):
+                for r in range(RUNS):
                     for side in ("base", "new") if r % 2 == 0 else ("new", "base"):
                         cpu[side].append(replay_cpu(*sides[side], stream, c, discipline))
                 base, new = statistics.median(cpu["base"]), statistics.median(cpu["new"])
@@ -90,10 +92,10 @@ def main():
             f"utilisation {RHO}, prevalence {PREVALENCE}, read times {READ_DISEASED} and "
             f"{READ_NONDISEASED} min, TPF {TPF}. Both checkouts are imported into one process "
             f"and replay the same stream in turn, alternating which goes first; each figure is "
-            f"the median of {args.runs} such runs, and new_faster_runs counts the runs the new "
+            f"the median of {RUNS} such runs, and new_faster_runs counts the runs the new "
             "checkout won"
         ),
-        "runs": args.runs,
+        "runs": RUNS,
         "cores": os.cpu_count(),
         "machine": platform.machine(),
         "python": platform.python_version(),
@@ -101,9 +103,8 @@ def main():
         "numba_importable": importlib.util.find_spec("numba") is not None,
         "regimes": regimes,
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    json.dump(doc, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 if __name__ == "__main__":

@@ -19,14 +19,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import AnalysisConfig
 from .core import (
     Cohort,
     DeviceOperatingPoint,
-    Diagnosis,
     ExamClass,
     WorkflowParams,
     trial_stream,
@@ -149,13 +146,13 @@ def cmd_estimate(args) -> int:
     doc = empty_document()
 
     exam = ingest_exam_log(args.exam_log)
-    n_positive = exam.diagnosis.count(Diagnosis.POSITIVE)
+    n_positive = int(exam.positive.sum())
     doc["diagnostics"]["exam_log"] = {
         "n_rows": exam.n_rows,
         "n_excluded_negative_tat": exam.n_excluded_negative,
         "n_duplicate_exam_id": exam.n_duplicate_exam_id,
         "n_malformed": exam.n_malformed,
-        "n_retained": len(exam.exam_id),
+        "n_retained": exam.tat_minutes.size,
         "n_positive": n_positive,
     }
 
@@ -168,8 +165,7 @@ def cmd_estimate(args) -> int:
 
     if args.closure_log:
         closures = ingest_closure_log(args.closure_log)
-        roles = dict(zip(exam.reader_id, exam.reader_role))
-        readtimes = estimate_read_times(closures, roles, cfg)
+        readtimes = estimate_read_times(closures, exam.roles, cfg)
         class_counts = {c.value: closures.exam_class.count(c) for c in ExamClass}
         n_queue_total = len(closures.exam_class)
         doc["counts"] = {
@@ -453,15 +449,12 @@ def cmd_compare(args) -> int:
             "config must supply boundary_date (first day of the post period)"
         )
     exam = ingest_exam_log(args.exam_log)
-    positive = np.fromiter(
-        (d is Diagnosis.POSITIVE for d in exam.diagnosis), dtype=bool, count=len(exam.diagnosis)
-    )
     day, block = cohort_blocks(exam.scan_wall_us, cfg)
     work = block == WORK_BLOCK
     after = day >= day_number(cfg.boundary_date)
 
     rows = []
-    for in_cohort, key in ((positive & work, "work"), (positive & ~work, "off")):
+    for in_cohort, key in ((exam.positive & work, "work"), (exam.positive & ~work, "off")):
         pre = exam.tat_minutes[in_cohort & ~after]
         post = exam.tat_minutes[in_cohort & after]
         if len(pre) < 2 or len(post) < 2:

@@ -7,8 +7,11 @@ the device's reported operating point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from datetime import date, datetime, time
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -43,6 +46,15 @@ def _parse_date(value) -> date:
         raise FormatError(f"cannot parse date {value!r}") from exc
 
 
+def _is_instance(value, hint) -> bool:
+    """isinstance against a field's annotation; a float field also takes an
+    int, and a bool is neither."""
+    accepted = get_args(hint) if get_origin(hint) is UnionType else (get_origin(hint) or hint,)
+    if isinstance(value, bool):
+        return bool in accepted
+    return isinstance(value, accepted + ((int,) if float in accepted else ()))
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     holidays: frozenset[date] = frozenset()
@@ -71,16 +83,37 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, source: str = "<config>") -> "AnalysisConfig":
+        if not isinstance(raw, dict):
+            raise FormatError(f"{source}: expected a mapping of config keys, found {raw!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise FormatError(f"{source}: unknown config keys {sorted(unknown)}")
         values = dict(raw)
         if "holidays" in values:
-            values["holidays"] = frozenset(_parse_date(d) for d in values["holidays"] or ())
+            holidays = values["holidays"] or []
+            if not isinstance(holidays, list):
+                raise FormatError(f"{source}: holidays must be a list of dates, got {holidays!r}")
+            values["holidays"] = frozenset(_parse_date(d) for d in holidays)
         for key in ("work_start", "work_end"):
             if key in values:
                 values[key] = _parse_clock(values[key])
         if values.get("boundary_date") is not None:
             values["boundary_date"] = _parse_date(values["boundary_date"])
-        return cls(**values)
+        hints = get_type_hints(cls)
+        for key, value in values.items():
+            if not _is_instance(value, hints[key]):
+                kind = getattr(hints[key], "__name__", hints[key])
+                raise FormatError(f"{source}: {key} must be {kind}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise FormatError(f"{source}: {key} must be finite, got {value!r}")
+        cfg = cls(**values)
+        for key in ("device_tpf", "device_specificity"):
+            value = getattr(cfg, key)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise FormatError(f"{source}: {key} must be in [0, 1], got {value!r}")
+        if not cfg.work_start < cfg.work_end:
+            raise FormatError(
+                f"{source}: work_start {cfg.work_start} must be before work_end {cfg.work_end}"
+            )
+        return cfg

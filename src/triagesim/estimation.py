@@ -19,6 +19,7 @@ shape; the sample mean is carried alongside for comparison.
 from __future__ import annotations
 
 import csv
+import enum
 import logging
 from array import array
 from dataclasses import dataclass, field
@@ -52,17 +53,17 @@ class ExamLogIngest:
 
     Times are int64 microseconds: since the Unix epoch in UTC, and the same
     instant on the wall clock of the row's own zone offset, which decides its
-    day and cohort. Every non-blank row is counted once: n_rows = retained +
+    day and cohort. positive marks the rows diagnosed Positive, and roles
+    maps each reader to their role on the last retained row that names them.
+    Every non-blank row is counted once: n_rows = tat_minutes.size +
     n_excluded_negative + n_duplicate_exam_id + n_malformed.
     """
 
-    exam_id: tuple[str, ...]
     scan_utc_us: np.ndarray
     scan_wall_us: np.ndarray
     tat_minutes: np.ndarray
-    reader_id: tuple[str, ...]
-    reader_role: tuple[ReaderRole, ...]
-    diagnosis: tuple[Diagnosis, ...]
+    positive: np.ndarray
+    roles: dict[str, ReaderRole]
     n_excluded_negative: int
     n_duplicate_exam_id: int
     n_malformed: int
@@ -110,38 +111,19 @@ def _normalize_token(raw: str) -> str:
     return raw.strip().lower().replace(" ", "").replace("_", "").replace("-", "")
 
 
-_ROLE_TOKENS = {
-    "resident": ReaderRole.RESIDENT,
-    "staff": ReaderRole.STAFF,
-    "fellow": ReaderRole.FELLOW,
-    "l1fellow": ReaderRole.FELLOW,
-    "emergencyphysician": ReaderRole.EMERGENCY_PHYSICIAN,
-}
-_DIAGNOSIS_TOKENS = {
-    "positive": Diagnosis.POSITIVE,
-    "negative": Diagnosis.NEGATIVE,
-    "indeterminate": Diagnosis.INDETERMINATE,
-}
-_LOCATION_TOKENS = {
-    "ed": Location.ED,
-    "emergencydepartment": Location.ED,
-    "inpatient": Location.INPATIENT,
-    "outpatient": Location.OUTPATIENT,
-}
-_CLASS_TOKENS = {
-    "pepositive": ExamClass.PE_POSITIVE,
-    "nonpepositive": ExamClass.NON_PE_POSITIVE,
-    "nonchestct": ExamClass.NON_CHEST_CT,
-}
+# The accepted spellings that are not a member's value.
+_ALIASES = {"l1fellow": ReaderRole.FELLOW, "emergencydepartment": Location.ED}
 
 
 class _Tokens(dict):
-    """Raw cell -> enum member for one column; each distinct raw string is
-    normalised once, and an unknown one raises ValueError."""
+    """Raw cell -> member of one enum, matched on its value or an alias after
+    _normalize_token; each distinct raw string is normalised once, and an
+    unknown one raises ValueError."""
 
-    def __init__(self, tokens: dict, what: str):
+    def __init__(self, members: type[enum.Enum], what: str):
         super().__init__()
-        self.tokens = tokens
+        self.tokens = {_normalize_token(m.value): m for m in members}
+        self.tokens.update((k, m) for k, m in _ALIASES.items() if isinstance(m, members))
         self.what = what
 
     def __missing__(self, raw: str):
@@ -202,15 +184,13 @@ def ingest_exam_log(path) -> ExamLogIngest:
     scan time postdates the automatically captured report time; those rows
     are counted, not kept.
     """
-    roles = _Tokens(_ROLE_TOKENS, "reader role")
-    diagnoses = _Tokens(_DIAGNOSIS_TOKENS, "diagnosis")
-    locations = _Tokens(_LOCATION_TOKENS, "location")
+    roles = _Tokens(ReaderRole, "reader role")
+    diagnoses = _Tokens(Diagnosis, "diagnosis")
+    locations = _Tokens(Location, "location")
     offsets = _Offsets()
-    exam_ids: list[str] = []
-    reader_ids: list[str] = []
-    role_col: list[ReaderRole] = []
-    diagnosis_col: list[Diagnosis] = []
+    reader_roles: dict[str, ReaderRole] = {}
     scan_utc, scan_wall, tat_us = array("q"), array("q"), array("q")
+    positive = bytearray()
     seen: set[str] = set()
     n_duplicate = n_negative = 0
     rows = _Rows(path, EXAM_LOG_COLUMNS)
@@ -238,18 +218,14 @@ def ingest_exam_log(path) -> ExamLogIngest:
         scan_utc.append(utc)
         scan_wall.append(utc + offsets[scan.tzinfo])
         tat_us.append(tat)
-        exam_ids.append(exam_id)
-        reader_ids.append(reader_id.strip())
-        role_col.append(role)
-        diagnosis_col.append(diagnosis)
+        positive.append(diagnosis is Diagnosis.POSITIVE)
+        reader_roles[reader_id.strip()] = role
     return ExamLogIngest(
-        exam_id=tuple(exam_ids),
         scan_utc_us=np.frombuffer(scan_utc, np.int64),
         scan_wall_us=np.frombuffer(scan_wall, np.int64),
         tat_minutes=np.frombuffer(tat_us, np.int64) / 1e6 / 60.0,
-        reader_id=tuple(reader_ids),
-        reader_role=tuple(role_col),
-        diagnosis=tuple(diagnosis_col),
+        positive=np.frombuffer(positive, np.bool_),
+        roles=reader_roles,
         n_excluded_negative=n_negative,
         n_duplicate_exam_id=n_duplicate,
         n_malformed=rows.n_malformed,
@@ -260,7 +236,7 @@ def ingest_exam_log(path) -> ExamLogIngest:
 def ingest_closure_log(path) -> ClosureLogIngest:
     """Parse the case-closure log (reader, closure time, exam class) into
     columns, rejecting rows as ingest_exam_log does."""
-    classes = _Tokens(_CLASS_TOKENS, "exam class")
+    classes = _Tokens(ExamClass, "exam class")
     offsets = _Offsets()
     reader_ids: list[str] = []
     class_col: list[ExamClass] = []

@@ -271,7 +271,8 @@ def run_replications(
     Each trial replays one patient stream under FIFO and under the given
     priority discipline; the per-trial saving is the diseased-exam mean TAT
     difference. The first burn_in exams of each trial are replayed but left
-    out of that mean. The reported range is the (2.5th, 97.5th) percentile of
+    out of that mean; a trial left with no diseased exam raises
+    ParameterError. The reported range is the (2.5th, 97.5th) percentile of
     per-trial savings. Results are bit-identical for any worker count:
     streams depend only on (master_seed, trial_index) and aggregation follows
     trial order. With workers > 1, trials run in up to that many processes
@@ -306,6 +307,12 @@ def run_replications(
     else:
         results = [trial(k) for k in range(n_trials)]
     savings = np.array(results)
+    empty = np.flatnonzero(np.isnan(savings))
+    if empty.size:
+        raise ParameterError(
+            f"trial {empty[0]} has no diseased exam after burn-in: raise n_patients "
+            "or lower burn_in"
+        )
     low, high = np.percentile(savings, [2.5, 97.5])
     return SavingsEstimate(
         mean_savings=float(savings.mean()),

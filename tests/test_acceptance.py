@@ -430,6 +430,8 @@ class TestCriterion6EstimationRecovery:
 
 class TestCriterion7FeasibilityBoundary:
     def test_sweep_marks_boundary(self, tmp_path):
+        # 4,000 patients, so that each trial holds diseased exams to average
+        # at the studied prevalence (0.32%); a trial without any fails the run.
         params_path = studied_params_doc(tmp_path)
         code = cli.main(
             [
@@ -443,7 +445,7 @@ class TestCriterion7FeasibilityBoundary:
                 "--trials",
                 "2",
                 "--patients",
-                "400",
+                "4000",
                 "--out",
                 str(tmp_path),
             ]

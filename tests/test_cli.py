@@ -328,6 +328,18 @@ class TestSweep:
         )
         assert code == 3
 
+    def test_trial_without_diseased_exam_exits_3(self, params_file, tmp_path, caplog):
+        # With no diseased exam there is no saving to average: the command
+        # fails instead of writing nan for a feasible point.
+        doc = json.loads(params_file.read_text())
+        doc["prevalence"] = 0.0
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert self.run_sweep(params, out) == 3
+        assert "trial 0 has no diseased exam after burn-in" in caplog.text
+        assert not (out / "sweep.csv").exists()
+
 
 class TestRocSweep:
     def test_endpoints_and_determinism(self, params_file, tmp_path):

@@ -24,8 +24,9 @@ from triagesim.config import AnalysisConfig
     ],
 )
 def test_work_hours_from_yaml(tmp_path, text, expected):
+    # A work_start of 0:00 keeps a 7:00 work_end after it.
     path = tmp_path / "config.yaml"
-    path.write_text(f"work_end: {text}\n")
+    path.write_text(f"work_start: 0\nwork_end: {text}\n")
     if expected is None:
         with pytest.raises(FormatError):
             AnalysisConfig.from_yaml(path)
@@ -37,3 +38,25 @@ def test_bad_clock_exits_2(tmp_path):
     (tmp_path / "config.yaml").write_text("work_start: 30\n")
     argv = ["estimate", "--exam-log", str(tmp_path / "none.csv"), "--config", str(tmp_path / "config.yaml")]
     assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("5\n", "expected a mapping of config keys"),
+        ("min_daily_gaps: x\n", "min_daily_gaps must be int"),
+        ("interarrival_bin_minutes: abc\n", "interarrival_bin_minutes must be float"),
+        ("interarrival_bin_minutes: .nan\n", "interarrival_bin_minutes must be finite"),
+        ("holidays: 2024-01-03\n", "holidays must be a list of dates"),
+        ("weighted_fits: maybe\n", "weighted_fits must be bool"),
+        ("min_gaps_per_fit: true\n", "min_gaps_per_fit must be int"),
+        ("device_tpf: 2.0\n", "device_tpf must be in [0, 1]"),
+        ("work_start: 17:00\nwork_end: 08:00\n", "work_start 17:00:00 must be before work_end"),
+    ],
+)
+def test_malformed_value_exits_2(tmp_path, caplog, text, key):
+    (tmp_path / "config.yaml").write_text(text)
+    argv = ["estimate", "--exam-log", str(tmp_path / "none.csv"), "--config", str(tmp_path / "config.yaml")]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+    assert key in caplog.text
+    assert not (tmp_path / "params.json").exists()

@@ -8,9 +8,11 @@ from reference_ingest import ClosureRecord, closure_columns, stamp_columns
 
 from triagesim import (
     Cohort,
+    Diagnosis,
     ExamClass,
     FormatError,
     InsufficientDataError,
+    Location,
     ParameterError,
     ReaderRole,
 )
@@ -58,7 +60,7 @@ class TestIngestExamLog:
             rows.append(exam_row(i, scan, scan - timedelta(minutes=5)))
         path.write_text("".join(rows))
         result = ingest_exam_log(path)
-        assert len(result.exam_id) == 8
+        assert result.tat_minutes.size == 8
         assert result.n_excluded_negative == 2
         assert result.n_rows == 10
 
@@ -75,18 +77,18 @@ class TestIngestExamLog:
         result = ingest_exam_log(path)
         assert result.n_rows == 16_579
         assert result.n_excluded_negative == 5_327
-        assert len(result.exam_id) == 11_252
+        assert result.tat_minutes.size == 11_252
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         result = ingest_exam_log(path)
-        assert result.exam_id == () and result.n_excluded_negative == 0
+        assert result.tat_minutes.size == 0 and result.n_excluded_negative == 0
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text(EXAM_HEADER)
-        assert ingest_exam_log(path).exam_id == ()
+        assert ingest_exam_log(path).tat_minutes.size == 0
 
     def test_wrong_header_is_fatal(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -108,7 +110,7 @@ class TestIngestExamLog:
         )
         with caplog.at_level("WARNING"):
             result = ingest_exam_log(path)
-        assert len(result.exam_id) == 2
+        assert result.tat_minutes.size == 2
         assert result.n_malformed == 4
         assert "line 3" in caplog.text
         # The location column is not kept, but an unknown location still rejects its row.
@@ -120,7 +122,7 @@ class TestIngestExamLog:
             EXAM_HEADER + "E1,2024-01-02T09:00:00,2024-01-02T10:00:00+00:00,r001,Resident,Negative,ED\n"
         )
         result = ingest_exam_log(path)
-        assert result.n_malformed == 1 and not result.exam_id
+        assert result.n_malformed == 1 and result.tat_minutes.size == 0
 
     def test_row_accounting_identity(self, tmp_path):
         path = tmp_path / "exam.csv"
@@ -134,7 +136,7 @@ class TestIngestExamLog:
         )
         result = ingest_exam_log(path)
         assert (result.tat_minutes >= 0).all()
-        assert len(result.exam_id) + result.n_excluded_negative + result.n_malformed == result.n_rows
+        assert result.tat_minutes.size + result.n_excluded_negative + result.n_malformed == result.n_rows
 
     def test_duplicate_exam_ids_excluded_and_counted(self, tmp_path):
         path = tmp_path / "exam.csv"
@@ -151,18 +153,62 @@ class TestIngestExamLog:
             + exam_row(2, good, good - timedelta(minutes=1)).replace("E2,", " E2 ,")
         )
         result = ingest_exam_log(path)
-        assert result.exam_id == ("E1", "E2")
         np.testing.assert_array_equal(result.tat_minutes, [5.0, 3.0])
         assert result.n_duplicate_exam_id == 3
         assert result.n_excluded_negative == 1 and result.n_malformed == 1
         assert result.n_rows == 7
         assert (
-            len(result.exam_id)
+            result.tat_minutes.size
             + result.n_excluded_negative
             + result.n_duplicate_exam_id
             + result.n_malformed
             == result.n_rows
         )
+
+
+# Every spelling the logs may use, README's and the two aliases, by the
+# exam_row argument that carries it ("class" is the closure log's column).
+SPELLINGS = [
+    ("role", "Resident", ReaderRole.RESIDENT),
+    ("role", "Staff", ReaderRole.STAFF),
+    ("role", "Fellow", ReaderRole.FELLOW),
+    ("role", "L1 Fellow", ReaderRole.FELLOW),
+    ("role", "EmergencyPhysician", ReaderRole.EMERGENCY_PHYSICIAN),
+    ("dx", "Positive", Diagnosis.POSITIVE),
+    ("dx", "Negative", Diagnosis.NEGATIVE),
+    ("dx", "Indeterminate", Diagnosis.INDETERMINATE),
+    ("loc", "ED", Location.ED),
+    ("loc", "Emergency Department", Location.ED),
+    ("loc", "Inpatient", Location.INPATIENT),
+    ("loc", "Outpatient", Location.OUTPATIENT),
+    ("class", "pe_positive", ExamClass.PE_POSITIVE),
+    ("class", "non_pe_positive", ExamClass.NON_PE_POSITIVE),
+    ("class", "non_chest_ct", ExamClass.NON_CHEST_CT),
+]
+
+
+def oddly(token: str) -> str:
+    """token in alternating case, with a space, "_" or "-" before each
+    character and after the last, and padding around it."""
+    separators = itertools.cycle(" _-")
+    cased = (ch.upper() if k % 2 else ch.lower() for k, ch in enumerate(token))
+    return f"  {''.join(next(separators) + ch for ch in cased)}{next(separators)} "
+
+
+@pytest.mark.parametrize("column, spelling, member", SPELLINGS, ids=[s for _, s, _ in SPELLINGS])
+def test_every_spelling_maps_to_its_member(tmp_path, column, spelling, member):
+    path = tmp_path / "log.csv"
+    if column == "class":
+        path.write_text(f"reader_id,closed_at,exam_class\nr001,{ts(2, 9).isoformat()},{oddly(spelling)}\n")
+        result = ingest_closure_log(path)
+        assert result.n_malformed == 0 and result.exam_class == (member,)
+        return
+    scan = ts(2, 9)
+    path.write_text(EXAM_HEADER + exam_row(1, scan, scan + timedelta(minutes=5), **{column: oddly(spelling)}))
+    result = ingest_exam_log(path)
+    assert result.n_malformed == 0 and result.tat_minutes.size == 1
+    assert result.roles == {"r001": member if column == "role" else ReaderRole.RESIDENT}
+    assert result.positive.tolist() == [member is Diagnosis.POSITIVE]
 
 
 class TestIngestClosureLog:

@@ -19,7 +19,7 @@ import pytest
 import reference_ingest as reference
 from reference_ingest import closure_columns, stamp_columns
 
-from triagesim import Cohort, trial_stream
+from triagesim import Cohort, Diagnosis, trial_stream
 from triagesim.config import AnalysisConfig
 from triagesim.estimation import (
     WORK_BLOCK,
@@ -177,10 +177,8 @@ def test_exam_log_columns_match_reference(tmp_path, caplog, seed):
     np.testing.assert_array_equal(new.scan_utc_us, utc)
     np.testing.assert_array_equal(new.scan_wall_us, wall)
     np.testing.assert_array_equal(new.tat_minutes, [r.tat_minutes for r in records])
-    assert new.exam_id == tuple(r.exam_id for r in records)
-    assert new.reader_id == tuple(r.reader_id for r in records)
-    assert new.reader_role == tuple(r.reader_role for r in records)
-    assert new.diagnosis == tuple(r.diagnosis for r in records)
+    np.testing.assert_array_equal(new.positive, [r.diagnosis is Diagnosis.POSITIVE for r in records])
+    assert new.roles == {r.reader_id: r.reader_role for r in records}
     assert len(records) + new.n_excluded_negative + new.n_malformed == new.n_rows
 
 

@@ -118,6 +118,13 @@ class TestSingleTrial:
             with pytest.raises(ParameterError, match="burn_in"):
                 run_replications(params, 2, 10, 1, burn_in=burn_in)
 
+    def test_trial_without_diseased_exam_is_rejected(self):
+        # At seed 0, trial 1's 50 patients hold no diseased exam and trials 0
+        # and 2 do: a mean over none would be NaN.
+        params = make_params(prevalence=0.02)
+        with pytest.raises(ParameterError, match="trial 1 has no diseased exam after burn-in"):
+            run_replications(params, 3, 50, 0)
+
     @pytest.mark.parametrize(
         "arrival, service, n_servers",
         [

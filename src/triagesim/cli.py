@@ -166,8 +166,8 @@ def cmd_estimate(args) -> int:
     if args.closure_log:
         closures = ingest_closure_log(args.closure_log)
         readtimes = estimate_read_times(closures, exam.roles, cfg)
-        class_counts = {c.value: closures.exam_class.count(c) for c in ExamClass}
-        n_queue_total = len(closures.exam_class)
+        class_counts = {c.value: int((closures.exam_class == k).sum()) for k, c in enumerate(ExamClass)}
+        n_queue_total = closures.exam_class.size
         doc["counts"] = {
             "n_diseased": n_positive,
             "n_queue_total": n_queue_total,
@@ -381,6 +381,8 @@ def cmd_oracle(args) -> int:
     if args.compare:
         if len(arrival_rates) > 2:
             raise ParameterError("--compare supports at most two priority classes")
+        if load.total_rate == 0:
+            raise ParameterError("--compare needs a total arrival rate > 0 to simulate")
         simulated = _oracle_compare(args, load, fifo, waits)
         header += ("wq_simulated", "z_score")
         rows = [(*row, *(_fmt(x) for x in simulated[row[0]])) for row in rows]
@@ -520,13 +522,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"triagesim {__version__}")
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=42, help="master random seed")
     shared.add_argument("--config", help="YAML analysis configuration")
-    shared.add_argument(
-        "--quick", action="store_true", help="desk-scale protocol (20 trials x 20,000 patients)"
-    )
     shared.add_argument("--out", default=".", help="output directory")
     sim = argparse.ArgumentParser(add_help=False)
+    sim.add_argument("--seed", type=int, default=42, help="master random seed")
+    sim.add_argument(
+        "--quick", action="store_true", help="desk-scale protocol (20 trials x 20,000 patients)"
+    )
     sim.add_argument("--trials", type=int, default=None, help="trials per grid point")
     sim.add_argument("--patients", type=int, default=None, help="patients per trial")
     sim.add_argument("--burn-in", type=int, default=0, help="exams excluded from statistics")
@@ -558,6 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--servers", type=int, required=True)
     p.add_argument("--compare", action="store_true", help="run a matched simulation and report z-scores")
     p.add_argument("--patients", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=42, help="master random seed")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("compare", parents=[shared], help="observed pre/post TAT comparison")

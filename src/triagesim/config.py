@@ -32,7 +32,7 @@ def _parse_clock(value) -> time:
         hours, minutes = str(value).split(":")
         return time(int(hours), int(minutes))
     except ValueError as exc:
-        raise FormatError(f"cannot parse clock time {value!r}") from exc
+        raise ValueError(f"cannot parse clock time {value!r}") from exc
 
 
 def _parse_date(value) -> date:
@@ -43,7 +43,21 @@ def _parse_date(value) -> date:
     try:
         return date.fromisoformat(str(value))
     except ValueError as exc:
-        raise FormatError(f"cannot parse date {value!r}") from exc
+        raise ValueError(f"cannot parse date {value!r}") from exc
+
+
+class _Loader(yaml.SafeLoader):
+    """A SafeLoader that keeps an impossible date such as 2024-02-30 as its
+    text, so that from_dict rejects it naming its key."""
+
+    def construct_yaml_timestamp(self, node):
+        try:
+            return super().construct_yaml_timestamp(node)
+        except ValueError:
+            return self.construct_scalar(node)
+
+
+_Loader.add_constructor("tag:yaml.org,2002:timestamp", _Loader.construct_yaml_timestamp)
 
 
 def _is_instance(value, hint) -> bool:
@@ -76,7 +90,7 @@ class AnalysisConfig:
     def from_yaml(cls, path) -> "AnalysisConfig":
         with reading(path), open(path, encoding="utf-8") as handle:
             try:
-                raw = yaml.safe_load(handle) or {}
+                raw = yaml.load(handle, Loader=_Loader) or {}
             except yaml.YAMLError as exc:
                 raise FormatError(f"{path}: invalid YAML ({exc})") from exc
         return cls.from_dict(raw, source=str(path))
@@ -90,16 +104,23 @@ class AnalysisConfig:
         if unknown:
             raise FormatError(f"{source}: unknown config keys {sorted(unknown)}")
         values = dict(raw)
+
+        def parsed(key, parse, value):
+            try:
+                return parse(value)
+            except ValueError as exc:
+                raise FormatError(f"{source}: {key}: {exc}") from exc
+
         if "holidays" in values:
             holidays = values["holidays"] or []
             if not isinstance(holidays, list):
                 raise FormatError(f"{source}: holidays must be a list of dates, got {holidays!r}")
-            values["holidays"] = frozenset(_parse_date(d) for d in holidays)
+            values["holidays"] = frozenset(parsed("holidays", _parse_date, d) for d in holidays)
         for key in ("work_start", "work_end"):
             if key in values:
-                values[key] = _parse_clock(values[key])
+                values[key] = parsed(key, _parse_clock, values[key])
         if values.get("boundary_date") is not None:
-            values["boundary_date"] = _parse_date(values["boundary_date"])
+            values["boundary_date"] = parsed("boundary_date", _parse_date, values["boundary_date"])
         hints = get_type_hints(cls)
         for key, value in values.items():
             if not _is_instance(value, hints[key]):
@@ -108,10 +129,15 @@ class AnalysisConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise FormatError(f"{source}: {key} must be finite, got {value!r}")
         cfg = cls(**values)
-        for key in ("device_tpf", "device_specificity"):
-            value = getattr(cfg, key)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise FormatError(f"{source}: {key} must be in [0, 1], got {value!r}")
+        positive = ("interarrival_bin_minutes", "readtime_bin_minutes", "max_read_gap_minutes", "roc_slope")
+        for keys, rule, ok in (
+            (positive, "> 0", lambda v: v > 0),
+            (("min_daily_closures", "min_gaps_per_fit", "min_daily_gaps"), ">= 0", lambda v: v >= 0),
+            (("device_tpf", "device_specificity"), "in [0, 1]", lambda v: v is None or 0 <= v <= 1),
+        ):
+            for key in keys:
+                if not ok(getattr(cfg, key)):
+                    raise FormatError(f"{source}: {key} must be {rule}, got {getattr(cfg, key)!r}")
         if not cfg.work_start < cfg.work_end:
             raise FormatError(
                 f"{source}: work_start {cfg.work_start} must be before work_end {cfg.work_end}"

@@ -73,12 +73,14 @@ class ExamLogIngest:
 @dataclass(frozen=True, eq=False)
 class ClosureLogIngest:
     """The parsed rows of a case-closure log, one column per field, with
-    times as in ExamLogIngest."""
+    times as in ExamLogIngest. reader indexes readers, the distinct reader
+    ids in order of first appearance, and exam_class indexes list(ExamClass)."""
 
-    reader_id: tuple[str, ...]
+    readers: tuple[str, ...]
+    reader: np.ndarray
     closed_utc_us: np.ndarray
     closed_wall_us: np.ndarray
-    exam_class: tuple[ExamClass, ...]
+    exam_class: np.ndarray
     n_malformed: int
     n_rows: int
 
@@ -237,10 +239,11 @@ def ingest_closure_log(path) -> ClosureLogIngest:
     """Parse the case-closure log (reader, closure time, exam class) into
     columns, rejecting rows as ingest_exam_log does."""
     classes = _Tokens(ExamClass, "exam class")
+    class_code = {exam_class: k for k, exam_class in enumerate(ExamClass)}
     offsets = _Offsets()
-    reader_ids: list[str] = []
-    class_col: list[ExamClass] = []
-    closed_utc, closed_wall = array("q"), array("q")
+    reader_code: dict[str, int] = {}
+    reader_col, closed_utc, closed_wall = array("q"), array("q"), array("q")
+    class_col = bytearray()
     rows = _Rows(path, CLOSURE_LOG_COLUMNS)
     for row in rows:
         try:
@@ -253,13 +256,14 @@ def ingest_closure_log(path) -> ClosureLogIngest:
         utc = (closed - _EPOCH) // _US
         closed_utc.append(utc)
         closed_wall.append(utc + offsets[closed.tzinfo])
-        reader_ids.append(reader_id.strip())
-        class_col.append(exam_class)
+        reader_col.append(reader_code.setdefault(reader_id.strip(), len(reader_code)))
+        class_col.append(class_code[exam_class])
     return ClosureLogIngest(
-        reader_id=tuple(reader_ids),
+        readers=tuple(reader_code),
+        reader=np.frombuffer(reader_col, np.int64),
         closed_utc_us=np.frombuffer(closed_utc, np.int64),
         closed_wall_us=np.frombuffer(closed_wall, np.int64),
-        exam_class=tuple(class_col),
+        exam_class=np.frombuffer(class_col, np.uint8),
         n_malformed=rows.n_malformed,
         n_rows=rows.n_rows,
     )
@@ -535,20 +539,14 @@ def estimate_read_times(
     a fit, binned by cfg.readtime_bin_minutes; per-class aggregates average
     the per-reader fitted means.
     """
-    n = len(closures.reader_id)
-    readers = sorted(set(closures.reader_id))
-    reader_code = {reader_id: k for k, reader_id in enumerate(readers)}
+    readers, classes = closures.readers, list(ExamClass)
     resident = np.array([roles.get(r) is ReaderRole.RESIDENT for r in readers], dtype=bool)
-    # Classes coded in the order of their values, the order of the fits.
-    classes = sorted(ExamClass, key=lambda c: c.value)
-    class_code = {exam_class: k for k, exam_class in enumerate(classes)}
-    reader = np.fromiter(map(reader_code.__getitem__, closures.reader_id), np.int64, n)
-    kept = resident[reader]
-    n_non_resident = n - int(kept.sum())
-    reader = reader[kept]
+    kept = resident[closures.reader]
+    n_non_resident = kept.size - int(kept.sum())
+    reader = closures.reader[kept]
     utc = closures.closed_utc_us[kept]
     day = closures.closed_wall_us[kept] // _US_PER_DAY
-    exam_class = np.fromiter(map(class_code.__getitem__, closures.exam_class), np.int64, n)[kept]
+    exam_class = closures.exam_class[kept]
 
     # Each reader's closures in time order, then those at the instant of
     # the previous one dropped.
@@ -583,6 +581,7 @@ def estimate_read_times(
         code, k = divmod(group_key, len(classes))
         fit = fit_exponential_histogram(group, cfg.readtime_bin_minutes, cfg.weighted_fits)
         per_reader.append(ReaderClassFit(readers[code], classes[k], fit.mean, fit.n, fit.r2))
+    per_reader.sort(key=lambda f: (f.reader_id, f.exam_class.value))
 
     per_class: dict[ExamClass, ClassReadTime] = {}
     for exam_class in ExamClass:

@@ -8,6 +8,7 @@ rate, which is how the simulator-agreement checks are set up.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import QueueDiscipline, WorkflowParams
@@ -60,10 +61,10 @@ class PriorityLoad:
     def __post_init__(self) -> None:
         if not self.arrival_rates:
             raise ParameterError("at least one class is required")
-        if any(lam < 0 for lam in self.arrival_rates):
-            raise ParameterError("arrival rates must be >= 0")
-        if self.service_rate <= 0:
-            raise ParameterError("service rate must be > 0")
+        if not all(0 <= lam < math.inf for lam in self.arrival_rates):
+            raise ParameterError("arrival rates must be finite and >= 0")
+        if not 0 < self.service_rate < math.inf:
+            raise ParameterError("service rate must be finite and > 0")
         if int(self.servers) != self.servers or self.servers < 1:
             raise ParameterError("server count must be an integer >= 1")
         total = sum(self.arrival_rates)

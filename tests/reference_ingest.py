@@ -385,11 +385,15 @@ def stamp_columns(stamps) -> tuple[np.ndarray, np.ndarray]:
 def closure_columns(records) -> ClosureColumns:
     """The closure-log columns holding the given ClosureRecords, in order."""
     utc, wall = stamp_columns([r.closed_at for r in records])
+    reader_code = {}
+    reader = [reader_code.setdefault(r.reader_id, len(reader_code)) for r in records]
+    classes = list(ExamClass)
     return ClosureColumns(
-        reader_id=tuple(r.reader_id for r in records),
+        readers=tuple(reader_code),
+        reader=np.array(reader, dtype=np.int64),
         closed_utc_us=utc,
         closed_wall_us=wall,
-        exam_class=tuple(r.exam_class for r in records),
+        exam_class=np.array([classes.index(r.exam_class) for r in records], dtype=np.uint8),
         n_malformed=0,
         n_rows=len(records),
     )

@@ -218,6 +218,26 @@ def test_out_naming_a_file_exits_2(corpus, tmp_path, caplog, command):
     assert list(tmp_path.iterdir()) == [out] and out.read_text() == "a file\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--exam-log", "exam.csv", "--seed", "1"],
+        ["estimate", "--exam-log", "exam.csv", "--quick"],
+        ["compare", "--exam-log", "exam.csv", "--seed", "1"],
+        ["compare", "--exam-log", "exam.csv", "--quick"],
+        ["oracle", "--arrival-rates", "0.1", "--service-rate", "0.2", "--servers", "1", "--quick"],
+    ],
+    ids=" ".join,
+)
+def test_flag_the_command_never_reads_exits_2(tmp_path, capsys, argv):
+    # Only sweep and roc-sweep read --seed and --quick; oracle reads --seed.
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSweep:
     def run_sweep(self, params_file, out, extra=()):
         return cli.main(
@@ -456,6 +476,16 @@ class TestOracle:
         )
         assert code == 3
         assert "class1 sample has 0 exam(s)" in caplog.text
+        assert not (tmp_path / "oracle.csv").exists()
+
+    @pytest.mark.parametrize(
+        "rates, service_rate, extra",
+        [("nan", "0.2", []), ("0.1", "nan", []), ("0", "0.2", ["--compare"])],
+        ids=["nan-rate", "nan-service-rate", "zero-rate-compare"],
+    )
+    def test_unusable_rates_exit_3(self, tmp_path, rates, service_rate, extra):
+        argv = ["oracle", "--arrival-rates", rates, "--service-rate", service_rate, "--servers", "2"]
+        assert cli.main([*argv, *extra, "--out", str(tmp_path)]) == 3
         assert not (tmp_path / "oracle.csv").exists()
 
 

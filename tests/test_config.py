@@ -52,6 +52,17 @@ def test_bad_clock_exits_2(tmp_path):
         ("min_gaps_per_fit: true\n", "min_gaps_per_fit must be int"),
         ("device_tpf: 2.0\n", "device_tpf must be in [0, 1]"),
         ("work_start: 17:00\nwork_end: 08:00\n", "work_start 17:00:00 must be before work_end"),
+        ("interarrival_bin_minutes: 0\n", "interarrival_bin_minutes must be > 0"),
+        ("readtime_bin_minutes: -2\n", "readtime_bin_minutes must be > 0"),
+        ("max_read_gap_minutes: 0\n", "max_read_gap_minutes must be > 0"),
+        ("roc_slope: 0\n", "roc_slope must be > 0"),
+        ("min_daily_closures: -1\n", "min_daily_closures must be >= 0"),
+        ("min_gaps_per_fit: -1\n", "min_gaps_per_fit must be >= 0"),
+        ("min_daily_gaps: -1\n", "min_daily_gaps must be >= 0"),
+        ("work_start: 30\n", "work_start: cannot parse clock time 30"),
+        ('work_end: "8:75"\n', "work_end: cannot parse clock time '8:75'"),
+        ("boundary_date: 2024-02-30\n", "boundary_date: cannot parse date '2024-02-30'"),
+        ("holidays: [2024-01-01, 2024-13-01]\n", "holidays: cannot parse date '2024-13-01'"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, caplog, text, key):

@@ -201,7 +201,7 @@ def test_every_spelling_maps_to_its_member(tmp_path, column, spelling, member):
     if column == "class":
         path.write_text(f"reader_id,closed_at,exam_class\nr001,{ts(2, 9).isoformat()},{oddly(spelling)}\n")
         result = ingest_closure_log(path)
-        assert result.n_malformed == 0 and result.exam_class == (member,)
+        assert result.n_malformed == 0 and result.exam_class.tolist() == [list(ExamClass).index(member)]
         return
     scan = ts(2, 9)
     path.write_text(EXAM_HEADER + exam_row(1, scan, scan + timedelta(minutes=5), **{column: oddly(spelling)}))
@@ -221,8 +221,12 @@ class TestIngestClosureLog:
             "r002,2024-01-02T09:12:00+00:00,non_chest_ct\n"
         )
         result = ingest_closure_log(path)
-        assert len(result.exam_class) == 3
-        assert result.exam_class[0] is ExamClass.PE_POSITIVE
+        assert result.readers == ("r001", "r002") and result.reader.tolist() == [0, 0, 1]
+        assert [list(ExamClass)[k] for k in result.exam_class] == [
+            ExamClass.PE_POSITIVE,
+            ExamClass.NON_PE_POSITIVE,
+            ExamClass.NON_CHEST_CT,
+        ]
 
     def test_unknown_class_skipped(self, tmp_path):
         path = tmp_path / "closures.csv"
@@ -230,7 +234,7 @@ class TestIngestClosureLog:
             "reader_id,closed_at,exam_class\nr001,2024-01-02T09:00:00+00:00,mystery\n"
         )
         result = ingest_closure_log(path)
-        assert result.n_malformed == 1 and not result.exam_class
+        assert result.n_malformed == 1 and result.exam_class.size == 0
 
 
 def assign_cohort(t, holidays=frozenset()):

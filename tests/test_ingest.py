@@ -19,7 +19,7 @@ import pytest
 import reference_ingest as reference
 from reference_ingest import closure_columns, stamp_columns
 
-from triagesim import Cohort, Diagnosis, trial_stream
+from triagesim import Cohort, Diagnosis, ReaderRole, trial_stream
 from triagesim.config import AnalysisConfig
 from triagesim.estimation import (
     WORK_BLOCK,
@@ -192,8 +192,9 @@ def test_closure_log_columns_match_reference(tmp_path, caplog, seed):
     expected = closure_columns(ref.records)
     np.testing.assert_array_equal(new.closed_utc_us, expected.closed_utc_us)
     np.testing.assert_array_equal(new.closed_wall_us, expected.closed_wall_us)
-    assert new.reader_id == expected.reader_id
-    assert new.exam_class == expected.exam_class
+    assert new.readers == expected.readers
+    np.testing.assert_array_equal(new.reader, expected.reader)
+    np.testing.assert_array_equal(new.exam_class, expected.exam_class)
 
 
 @pytest.mark.parametrize(
@@ -242,14 +243,25 @@ def test_daily_fits_match_reference(tmp_path, caplog, seed, calendar):
         assert {f.cohort for f in fits} == {Cohort.WORK_HOUR, Cohort.OFF_HOUR}
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_read_times_match_reference(tmp_path, caplog, seed):
+@pytest.mark.parametrize(
+    "seed, reverse",
+    [(seed, reverse) for reverse in (False, True) for seed in SEEDS],
+    ids=[f"{seed}{'-reversed' * reverse}" for reverse in (False, True) for seed in SEEDS],
+)
+def test_read_times_match_reference(tmp_path, caplog, seed, reverse):
+    # Reversed, readers first appear out of the sorted order of their ids,
+    # which the fits must still follow.
     exam_path, closure_path = tmp_path / "exam.csv", tmp_path / "closures.csv"
     dirty_exam_log(exam_path, seed)
     dirty_closure_log(closure_path, seed)
+    if reverse:
+        header, *lines = closure_path.read_text().splitlines()
+        closure_path.write_text("\n".join([header, *reversed(lines)]) + "\n")
     exams = reference.ingest_exam_log(exam_path)
     roles = {r.reader_id: r.reader_role for r in exams.records}
     new, ref = ingest_both(ingest_closure_log, reference.ingest_closure_log, closure_path, caplog)
+    residents = [r for r in new.readers if roles.get(r) is ReaderRole.RESIDENT]
+    assert (residents != sorted(residents)) == reverse
     for settings, cfg in (
         ({}, AnalysisConfig()),
         (

@@ -108,6 +108,14 @@ class TestPriorityWait:
             PriorityLoad((-0.1,), 0.25, 2)
         with pytest.raises(ParameterError):
             PriorityLoad((0.1,), 0.0, 2)
+        for rates, service_rate in (
+            ((float("nan"),), 0.25),
+            ((0.1, float("inf")), 0.25),
+            ((0.1,), float("nan")),
+            ((0.1,), float("inf")),
+        ):
+            with pytest.raises(ParameterError):
+                PriorityLoad(rates, service_rate, 2)
 
 
 class TestPreemptivePriorityWait:

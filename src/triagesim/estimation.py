@@ -9,6 +9,13 @@ Two logs drive everything:
   class), whose per-reader inter-closure gaps serve as a read-time
   surrogate.
 
+Each log is read a chunk of text at a time and parsed column by column
+(_Rows). A chunk with no quote is split with str.split; any other goes
+through csv.reader. Timestamps in the exact shape isoformat() writes are
+parsed by numpy, and tokens through one cache per enum. The rows the bulk
+step cannot take, and only those, go through the per-row loop body, which
+stays the one definition of a valid row and of every warning.
+
 Distribution means are estimated by least-squares fits of a * exp(-t / m) to
 density-normalized gap histograms, with the amplitude a in closed form and
 a bounded search over m (variable projection). The fitted mean, unlike the
@@ -18,12 +25,15 @@ shape; the sample mean is carried alongside for comparison.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
+import io
 import logging
 from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
+from itertools import chain, compress, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -101,12 +111,41 @@ def _parse_timestamp(raw: str) -> datetime:
     return parsed
 
 
-class _Offsets(dict):
-    """Zone -> its UTC offset in microseconds, computed once per zone."""
+# The one stamp shape parsed in bulk: what isoformat() writes for an aware
+# datetime with microseconds, "0" standing for an ASCII digit.
+_STAMP = "0000-00-00T00:00:00.000000+00:00"
+_DIGIT = np.array([c == "0" for c in _STAMP])
+_SEPARATORS = np.array([ord(c) for c in _STAMP if c != "0"], dtype=np.uint32)
+_SIGN = _STAMP.replace("0", "").index("+")
 
-    def __missing__(self, zone):
-        offset = self[zone] = zone.utcoffset(None) // _US
-        return offset
+
+def _stamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wall-clock and UTC microseconds of each cell, and whether it was parsed
+    in bulk: it has the _STAMP shape, a year other than 0000 and an offset
+    below 24:00, and numpy parses its first 26 characters. If numpy rejects
+    any cell, none counts as parsed. Other cells' times are meaningless."""
+    text = np.array(cells, dtype=str)
+    ok = np.ones(text.size, dtype=bool)
+    if text.dtype.itemsize != 4 * len(_STAMP):
+        ok = np.fromiter(map(len, cells), np.intp, text.size) == len(_STAMP)
+        text = text.astype(f"U{len(_STAMP)}")
+    code = text.view(np.uint32).reshape(-1, len(_STAMP))
+    digits = code[:, _DIGIT] - ord("0")  # unsigned: a code below "0" wraps high
+    separators = code[:, ~_DIGIT]
+    minus = separators[:, _SIGN] == ord("-")
+    separators[minus, _SIGN] = ord("+")
+    ok &= (digits <= 9).all(1) & (separators == _SEPARATORS).all(1) & digits[:, :4].any(1)
+    zone = np.where(ok[:, None], digits[:, -4:], 0).astype(np.int64)  # the offset's digits
+    hours, minutes = zone[:, 0] * 10 + zone[:, 1], zone[:, 2] * 10 + zone[:, 3]
+    ok &= (hours < 24) & (minutes < 60)
+    text[~ok] = "1970-01-01T00:00:00.000000+00:00"
+    try:
+        local = code[:, :26].astype(np.uint8).view("S26")[:, 0]  # all ASCII now
+        wall = local.astype("datetime64[us]").view(np.int64)
+    except ValueError:
+        wall, ok = np.zeros(text.size, np.int64), np.zeros_like(ok)
+    offset = (hours * 60 + minutes) * np.where(minus, -60 * 10**6, 60 * 10**6)
+    return wall, wall - offset, ok
 
 
 def _normalize_token(raw: str) -> str:
@@ -118,33 +157,60 @@ _ALIASES = {"l1fellow": ReaderRole.FELLOW, "emergencydepartment": Location.ED}
 
 
 class _Tokens(dict):
-    """Raw cell -> member of one enum, matched on its value or an alias after
-    _normalize_token; each distinct raw string is normalised once, and an
-    unknown one raises ValueError."""
+    """Raw cell -> index in members of the member it names, matched on its
+    value or an alias after _normalize_token; each distinct raw string is
+    normalised once, and an unknown one raises ValueError."""
 
     def __init__(self, members: type[enum.Enum], what: str):
         super().__init__()
-        self.tokens = {_normalize_token(m.value): m for m in members}
-        self.tokens.update((k, m) for k, m in _ALIASES.items() if isinstance(m, members))
+        self.members = list(members)
+        self.tokens = {_normalize_token(m.value): k for k, m in enumerate(self.members)}
+        aliases = [(t, m) for t, m in _ALIASES.items() if isinstance(m, members)]
+        self.tokens.update((t, self.members.index(m)) for t, m in aliases)
         self.what = what
 
     def __missing__(self, raw: str):
         try:
-            member = self.tokens[_normalize_token(raw)]
+            code = self.tokens[_normalize_token(raw)]
         except KeyError:
             raise ValueError(f"unknown {self.what} {raw!r}") from None
-        self[raw] = member
-        return member
+        self[raw] = code
+        return code
+
+    def codes(self, cells: Sequence[str]) -> np.ndarray:
+        """The index of each cell, or -1 where it names no member."""
+        for raw in set(cells).difference(self):
+            with contextlib.suppress(ValueError):
+                self[raw]
+        return np.fromiter(map(self.get, cells, repeat(-1)), np.int64, len(cells))
+
+
+def _repeated(ids: list[str], seen: set[str]) -> np.ndarray:
+    """Whether each id is in seen or earlier in ids; all are then in seen."""
+    distinct = set(ids)
+    if len(distinct) == len(ids) and seen.isdisjoint(distinct):
+        seen |= distinct
+        return np.zeros(len(ids), dtype=bool)
+    # seen.add returns None, which is false.
+    return np.array([exam_id in seen or seen.add(exam_id) for exam_id in ids], dtype=bool)
+
+
+# Characters read at a time; each chunk is then extended to a line end.
+# Under csv's default field limit (131,072), so an unquoted chunk rarely
+# needs the length check to send it to csv.reader.
+CHUNK_CHARS = 1 << 16
 
 
 class _Rows:
-    """The rows of a log after its header, as lists of cells.
+    """The rows of a log after its header, a chunk at a time, column by column.
 
     An empty file has no rows, a wrong header is fatal and a leading UTF-8
-    byte-order mark is ignored. The caller unpacks each row into its
-    len(columns) fields and parses them; a row that fails is handed to
-    reject(), which skips an all-blank row uncounted and logs any other,
-    with its line number, as malformed. n_rows counts the non-blank rows.
+    byte-order mark is ignored. Each chunk, about CHUNK_CHARS characters cut
+    at a record end, is yielded as len(columns) columns of cells, blank in a
+    row with the wrong cell count. The caller passes the rows it cannot parse
+    in bulk to slow(), and those that then fail to reject(), which skips an
+    all-blank row uncounted and logs any other, with its line number, as
+    malformed. n_rows counts the non-blank rows.
     """
 
     def __init__(self, path, columns: tuple[str, ...]):
@@ -155,16 +221,57 @@ class _Rows:
 
     def __iter__(self):
         with reading(self.path), open(self.path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
+            more = iter(handle.readline, "")
+            header = next(csv.reader(more), None)
             if header is None:
                 return
             names = tuple(h.strip().lower() for h in header)
             if names != self.columns:
                 raise FormatError(f"{self.path}: expected columns {self.columns}, found {names}")
-            for self.line_no, self.row in enumerate(reader, start=2):
-                yield self.row
+            while text := handle.read(CHUNK_CHARS):
+                self.rows, self.chunk = self._split(text + handle.readline(), more)
+                self.first = self.line_no + 1
+                yield self.chunk
+                self.line_no = self.first + len(self.chunk[0]) - 1
         self.n_rows = self.line_no - 1 - self.n_blank
+
+    def _split(self, text: str, more) -> tuple[list[list[str]] | None, list[Sequence[str]]]:
+        """The rows of text (None where the columns hold them) and its columns.
+        Text with no quote, NUL, lone CR or room for a cell over csv's field
+        limit, whose rows all have len(columns) cells, is split with
+        str.split; other text goes through csv.reader, which reads on from
+        more while a quoted cell is open."""
+        k = len(self.columns)
+        plain = not ('"' in text or "\0" in text or len(text) > csv.field_size_limit())
+        if plain and "\r" in text:
+            # Unquoted, CRLF ends a record as LF does; a lone CR does too,
+            # but only csv.reader splits on it.
+            text = text.replace("\r\n", "\n")
+            plain = "\r" not in text
+        if plain:
+            body = text.removesuffix("\n")
+            # Every line end becomes a cell of its own, so the cells of a
+            # chunk whose rows all have k cells repeat with period k + 1.
+            cells = body.replace("\n", ",\n,").split(",")
+            n = (len(cells) + 1) // (k + 1)
+            if len(cells) == n * (k + 1) - 1 and cells[k :: k + 1].count("\n") == n - 1:
+                return None, [cells[j :: k + 1] for j in range(k)]
+        lines = list(io.StringIO(text, newline=""))
+        reader = csv.reader(chain(lines, more))
+        rows = []
+        for row in reader:
+            rows.append(row)
+            if reader.line_num >= len(lines):
+                break
+        blank = [""] * k
+        return rows, list(zip(*(row if len(row) == k else blank for row in rows)))
+
+    def slow(self, ok: np.ndarray):
+        """The index and cells of each row of the chunk not in ok, in order."""
+        for i in np.flatnonzero(~ok).tolist():
+            self.line_no = self.first + i
+            self.row = self.rows[i] if self.rows is not None else [c[i] for c in self.chunk]
+            yield i, self.row
 
     def reject(self, exc: ValueError) -> None:
         row = self.row
@@ -189,39 +296,47 @@ def ingest_exam_log(path) -> ExamLogIngest:
     roles = _Tokens(ReaderRole, "reader role")
     diagnoses = _Tokens(Diagnosis, "diagnosis")
     locations = _Tokens(Location, "location")
-    offsets = _Offsets()
+    positive_code = diagnoses.members.index(Diagnosis.POSITIVE)
     reader_roles: dict[str, ReaderRole] = {}
     scan_utc, scan_wall, tat_us = array("q"), array("q"), array("q")
     positive = bytearray()
     seen: set[str] = set()
     n_duplicate = n_negative = 0
     rows = _Rows(path, EXAM_LOG_COLUMNS)
-    for row in rows:
-        try:
-            exam_id, scan, signed, reader_id, role, diagnosis, location = row
-            scan = _parse_timestamp(scan)
-            signed = _parse_timestamp(signed)
-            role = roles[role]
-            diagnosis = diagnoses[diagnosis]
-            locations[location]  # checked, not kept
-        except ValueError as exc:
-            rows.reject(exc)
-            continue
-        exam_id = exam_id.strip()
-        if exam_id in seen:
-            n_duplicate += 1
-            continue
-        seen.add(exam_id)
-        tat = (signed - scan) // _US
-        if tat < 0:
-            n_negative += 1
-            continue
-        utc = (scan - _EPOCH) // _US
-        scan_utc.append(utc)
-        scan_wall.append(utc + offsets[scan.tzinfo])
-        tat_us.append(tat)
-        positive.append(diagnosis is Diagnosis.POSITIVE)
-        reader_roles[reader_id.strip()] = role
+    for exam_ids, scan_cells, signed_cells, reader_ids, *token_cells in rows:
+        wall, utc, ok = _stamps(scan_cells)
+        _, signed_utc, signed_ok = _stamps(signed_cells)
+        role, diagnosis, location = map(_Tokens.codes, (roles, diagnoses, locations), token_cells)
+        ok &= signed_ok & (role >= 0) & (diagnosis >= 0) & (location >= 0)
+        for i, row in rows.slow(ok):
+            try:
+                exam_id, scan, signed, reader_id, role_cell, diagnosis_cell, location = row
+                scan = _parse_timestamp(scan)
+                signed = _parse_timestamp(signed)
+                role[i] = roles[role_cell]
+                diagnosis[i] = diagnoses[diagnosis_cell]
+                locations[location]  # checked, not kept
+            except ValueError as exc:
+                rows.reject(exc)
+                continue
+            ok[i] = True
+            utc[i] = (scan - _EPOCH) // _US
+            wall[i] = utc[i] + scan.utcoffset() // _US
+            signed_utc[i] = (signed - _EPOCH) // _US
+        parsed, is_parsed = np.flatnonzero(ok), ok.tolist()
+        duplicate = _repeated(list(map(str.strip, compress(exam_ids, is_parsed))), seen)
+        tat = signed_utc[parsed] - utc[parsed]
+        n_duplicate += int(duplicate.sum())
+        n_negative += int((~duplicate & (tat < 0)).sum())
+        kept = ~duplicate & (tat >= 0)
+        retained = parsed[kept]
+        scan_utc.frombytes(utc[retained].tobytes())
+        scan_wall.frombytes(wall[retained].tobytes())
+        tat_us.frombytes(tat[kept].tobytes())
+        positive += (diagnosis[retained] == positive_code).tobytes()
+        retained_readers = compress(compress(reader_ids, is_parsed), kept.tolist())
+        retained_roles = map(roles.members.__getitem__, role[retained].tolist())
+        reader_roles.update(zip(map(str.strip, retained_readers), retained_roles))
     return ExamLogIngest(
         scan_utc_us=np.frombuffer(scan_utc, np.int64),
         scan_wall_us=np.frombuffer(scan_wall, np.int64),
@@ -239,25 +354,36 @@ def ingest_closure_log(path) -> ClosureLogIngest:
     """Parse the case-closure log (reader, closure time, exam class) into
     columns, rejecting rows as ingest_exam_log does."""
     classes = _Tokens(ExamClass, "exam class")
-    class_code = {exam_class: k for k, exam_class in enumerate(ExamClass)}
-    offsets = _Offsets()
+    # Distinct reader ids in order of first appearance -> code, and each raw
+    # cell -> the code of its stripped id.
     reader_code: dict[str, int] = {}
+    cell_code: dict[str, int] = {}
     reader_col, closed_utc, closed_wall = array("q"), array("q"), array("q")
     class_col = bytearray()
     rows = _Rows(path, CLOSURE_LOG_COLUMNS)
-    for row in rows:
-        try:
-            reader_id, closed, exam_class = row
-            closed = _parse_timestamp(closed)
-            exam_class = classes[exam_class]
-        except ValueError as exc:
-            rows.reject(exc)
-            continue
-        utc = (closed - _EPOCH) // _US
-        closed_utc.append(utc)
-        closed_wall.append(utc + offsets[closed.tzinfo])
-        reader_col.append(reader_code.setdefault(reader_id.strip(), len(reader_code)))
-        class_col.append(class_code[exam_class])
+    for reader_ids, closed_cells, class_cells in rows:
+        wall, utc, ok = _stamps(closed_cells)
+        exam_class = classes.codes(class_cells)
+        ok &= exam_class >= 0
+        for i, row in rows.slow(ok):
+            try:
+                reader_id, closed, class_cell = row
+                closed = _parse_timestamp(closed)
+                exam_class[i] = classes[class_cell]
+            except ValueError as exc:
+                rows.reject(exc)
+                continue
+            ok[i] = True
+            utc[i] = (closed - _EPOCH) // _US
+            wall[i] = utc[i] + closed.utcoffset() // _US
+        closed_utc.frombytes(utc[ok].tobytes())
+        closed_wall.frombytes(wall[ok].tobytes())
+        class_col += exam_class[ok].astype(np.uint8).tobytes()
+        cells = list(compress(reader_ids, ok.tolist()))
+        for raw in dict.fromkeys(cells):
+            if raw not in cell_code:
+                cell_code[raw] = reader_code.setdefault(raw.strip(), len(reader_code))
+        reader_col.extend(map(cell_code.__getitem__, cells))
     return ClosureLogIngest(
         readers=tuple(reader_code),
         reader=np.frombuffer(reader_col, np.int64),

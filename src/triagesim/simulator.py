@@ -275,16 +275,18 @@ def run_replications(
     ParameterError. The reported range is the (2.5th, 97.5th) percentile of
     per-trial savings. Results are bit-identical for any worker count:
     streams depend only on (master_seed, trial_index) and aggregation follows
-    trial order. With workers > 1, trials run in up to that many processes
-    (never more than n_trials), started from a forkserver. That needs a POSIX
-    platform, and a script that calls this at top level must put the call
-    under ``if __name__ == "__main__":``, since each worker imports the
-    caller's main module again.
+    trial order. workers must be >= 1; with workers > 1, trials run in up
+    to that many processes (never more than n_trials), started from a
+    forkserver. That needs a POSIX platform, and a script that calls this
+    at top level must put the call under ``if __name__ == "__main__":``,
+    since each worker imports the caller's main module again.
     """
     if n_trials < 2:
         raise ParameterError(f"n_trials must be >= 2, got {n_trials}")
     if not 0 <= burn_in < n_patients:
         raise ParameterError(f"burn_in must be in [0, n_patients={n_patients}), got {burn_in}")
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     if workers > 1 and "forkserver" not in multiprocessing.get_all_start_methods():
         raise ParameterError(
             f"workers={workers} needs the forkserver start method, which this "

@@ -304,6 +304,12 @@ class TestSweep:
         assert self.run_sweep(params_file, tmp_path, extra=("--burn-in", "2000")) == 3
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_exits_3(self, params_file, tmp_path, caplog, workers):
+        assert self.run_sweep(params_file, tmp_path, extra=("--workers", workers)) == 3
+        assert f"workers must be >= 1, got {workers}" in caplog.text
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_all_infeasible_exits_3(self, params_file, tmp_path):
         code = cli.main(
             [

@@ -138,6 +138,19 @@ class TestIngestExamLog:
         assert (result.tat_minutes >= 0).all()
         assert result.tat_minutes.size + result.n_excluded_negative + result.n_malformed == result.n_rows
 
+    def test_roles_come_from_the_last_retained_row(self, tmp_path):
+        path = tmp_path / "exam.csv"
+        scan = ts(2, 9, 0, 0.5)
+        path.write_text(
+            EXAM_HEADER
+            + exam_row(1, scan, scan + timedelta(minutes=5), reader="r1", role="Staff")
+            + exam_row(2, scan, scan + timedelta(minutes=5), reader=" r1 ", role="Resident")
+            + exam_row(2, scan, scan + timedelta(minutes=6), reader="r1", role="Fellow")  # duplicate
+            + exam_row(3, scan, scan - timedelta(minutes=5), reader="r1", role="Fellow")  # negative TAT
+            + exam_row(4, scan, scan + timedelta(minutes=5), reader="r2", role="Staff")
+        )
+        assert ingest_exam_log(path).roles == {"r1": ReaderRole.RESIDENT, "r2": ReaderRole.STAFF}
+
     def test_duplicate_exam_ids_excluded_and_counted(self, tmp_path):
         path = tmp_path / "exam.csv"
         good = ts(2, 9)

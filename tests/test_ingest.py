@@ -1,7 +1,8 @@
 """Differential check of the column-wise ingest, cohort segmentation, daily
 inter-arrival fits and read-time estimation against the per-row reference
 in reference_ingest.py: equal counts, columns, warnings, fits and
-exclusions on dirty logs.
+exclusions on dirty logs, also rewritten with CRLF endings, quoted cells,
+no final newline or a non-ASCII reader id, and read in tiny chunks.
 
 The logs mix zone offsets (New York time across the 2024-03-10 change from
 -05:00 to -04:00, +05:30, +00:00 and a Z suffix), so a row's day and cohort
@@ -19,7 +20,7 @@ import pytest
 import reference_ingest as reference
 from reference_ingest import closure_columns, stamp_columns
 
-from triagesim import Cohort, Diagnosis, ReaderRole, trial_stream
+from triagesim import Cohort, Diagnosis, ReaderRole, estimation, trial_stream
 from triagesim.config import AnalysisConfig
 from triagesim.estimation import (
     WORK_BLOCK,
@@ -32,7 +33,11 @@ from triagesim.estimation import (
 )
 from triagesim.synthetic import SyntheticSpec, generate_closure_rows, generate_exam_rows
 
+pytestmark = pytest.mark.filterwarnings("error")
+
 UTC = timezone.utc
+EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
+MICROSECOND = timedelta(microseconds=1)
 EASTERN_STANDARD = timezone(timedelta(hours=-5))
 EASTERN_DAYLIGHT = timezone(timedelta(hours=-4))
 INDIA = timezone(timedelta(hours=5, minutes=30))
@@ -160,17 +165,12 @@ def ingest_both(ingest, reference_ingest, path, caplog):
 SEEDS = (3, 14)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_exam_log_columns_match_reference(tmp_path, caplog, seed):
-    path = tmp_path / "exam.csv"
-    dirty_exam_log(path, seed)
-    new, ref = ingest_both(ingest_exam_log, reference.ingest_exam_log, path, caplog)
+def assert_exam_columns_equal(new, ref):
     assert (new.n_rows, new.n_malformed, new.n_excluded_negative) == (
         ref.n_rows,
         ref.n_malformed,
         ref.n_excluded_negative,
     )
-    assert ref.n_malformed == 24 and ref.n_excluded_negative >= 10
     assert new.n_duplicate_exam_id == 0
     records = ref.records
     utc, wall = stamp_columns([r.scan_completed_at for r in records])
@@ -182,19 +182,159 @@ def test_exam_log_columns_match_reference(tmp_path, caplog, seed):
     assert len(records) + new.n_excluded_negative + new.n_malformed == new.n_rows
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_closure_log_columns_match_reference(tmp_path, caplog, seed):
-    path = tmp_path / "closures.csv"
-    dirty_closure_log(path, seed)
-    new, ref = ingest_both(ingest_closure_log, reference.ingest_closure_log, path, caplog)
+def assert_closure_columns_equal(new, ref):
     assert (new.n_rows, new.n_malformed) == (ref.n_rows, ref.n_malformed)
-    assert ref.n_malformed == 15
     expected = closure_columns(ref.records)
     np.testing.assert_array_equal(new.closed_utc_us, expected.closed_utc_us)
     np.testing.assert_array_equal(new.closed_wall_us, expected.closed_wall_us)
     assert new.readers == expected.readers
     np.testing.assert_array_equal(new.reader, expected.reader)
     np.testing.assert_array_equal(new.exam_class, expected.exam_class)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_exam_log_columns_match_reference(tmp_path, caplog, seed):
+    path = tmp_path / "exam.csv"
+    dirty_exam_log(path, seed)
+    new, ref = ingest_both(ingest_exam_log, reference.ingest_exam_log, path, caplog)
+    assert_exam_columns_equal(new, ref)
+    assert ref.n_malformed == 24 and ref.n_excluded_negative >= 10
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_closure_log_columns_match_reference(tmp_path, caplog, seed):
+    path = tmp_path / "closures.csv"
+    dirty_closure_log(path, seed)
+    new, ref = ingest_both(ingest_closure_log, reference.ingest_closure_log, path, caplog)
+    assert_closure_columns_equal(new, ref)
+    assert ref.n_malformed == 15
+
+
+def quote_cells(text: str) -> str:
+    """text with some cells quoted: readers r003 and r008 become ids holding
+    a comma and r005 one holding a newline, and the last cell of about one
+    row in five holds a newline, which ingest strips from its token. Which
+    cells change depends only on a row's content, so a copied row changes
+    as its original does."""
+    respelled = {"r003": "r0,03", "r008": "r0,08", "r005": "r0\n05"}
+    lines = []
+    for line in text.split("\n"):
+        cells = [
+            f'"{c.replace(c.strip(), respelled[c.strip()])}"' if c.strip() in respelled else c
+            for c in line.split(",")
+        ]
+        if len(cells) > 1 and sum(map(ord, line)) % 5 == 0:
+            cells[-1] = f'"{cells[-1]}\n"'
+        lines.append(",".join(cells))
+    return "\n".join(lines)
+
+
+VARIANTS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "quoted": quote_cells,
+    "quoted-crlf": lambda text: quote_cells(text).replace("\n", "\r\n"),
+    "no-final-newline": lambda text: text.removesuffix("\n"),
+    "non-ascii-reader": lambda text: text.replace("r00", "\u015500"),  # r with an acute accent
+}
+
+
+@pytest.mark.parametrize(
+    "variant, chunk_chars",
+    [(variant, None) for variant in VARIANTS] + [("quoted-crlf", 64)],
+    ids=[*VARIANTS, "quoted-crlf-64-char-chunks"],
+)
+def test_reader_variants_match_reference(tmp_path, caplog, monkeypatch, variant, chunk_chars):
+    # With 64-character chunks nearly every row, and every quoted newline,
+    # straddles a chunk boundary.
+    if chunk_chars:
+        monkeypatch.setattr(estimation, "CHUNK_CHARS", chunk_chars)
+    exam, closures = tmp_path / "exam.csv", tmp_path / "closures.csv"
+    dirty_exam_log(exam, SEEDS[0])
+    dirty_closure_log(closures, SEEDS[0])
+    for path in (exam, closures):
+        path.write_bytes(VARIANTS[variant](path.read_text()).encode())
+    new, ref = ingest_both(ingest_exam_log, reference.ingest_exam_log, exam, caplog)
+    assert_exam_columns_equal(new, ref)
+    assert ref.n_malformed == 24
+    new, ref = ingest_both(ingest_closure_log, reference.ingest_closure_log, closures, caplog)
+    assert_closure_columns_equal(new, ref)
+    assert ref.n_malformed == 15
+    if variant.startswith("quoted"):
+        newline = "\r\n" if variant == "quoted-crlf" else "\n"
+        assert {"r0,03", "r0,08", f"r0{newline}05"} <= set(new.readers)
+
+
+def test_duplicates_found_across_chunks(tmp_path, caplog, monkeypatch):
+    """Two parsed rows copied, one right after its original and one 1,000
+    lines on, are excluded as duplicates however chunks cut the log."""
+    plain, copied = tmp_path / "plain.csv", tmp_path / "copied.csv"
+    dirty_exam_log(plain, SEEDS[0])
+    lines = plain.read_text().split("\n")
+    first, second = [k for k, line in enumerate(lines) if line.startswith("E")][100:102]
+    copies = lines[:]
+    copies.insert(second + 1000, lines[second])
+    copies.insert(first + 1, lines[first])
+    for path, rows in ((plain, lines), (copied, copies)):
+        path.write_bytes(VARIANTS["quoted-crlf"]("\n".join(rows)).encode())
+    base = ingest_exam_log(plain)
+    runs = []
+    for chunk_chars in (estimation.CHUNK_CHARS, 64):
+        monkeypatch.setattr(estimation, "CHUNK_CHARS", chunk_chars)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            runs.append((ingest_exam_log(copied), warnings_from(caplog, "triagesim.estimation")))
+    (a, a_warnings), (b, b_warnings) = runs
+    assert a_warnings == b_warnings and len(a_warnings) == 24
+    for f in dataclasses.fields(a):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
+        if f.name not in ("n_duplicate_exam_id", "n_rows"):
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(base, f.name), err_msg=f.name)
+    assert (a.n_duplicate_exam_id, a.n_rows) == (2, base.n_rows + 2)
+
+
+GOOD_STAMP = "2024-03-04T10:00:00.123456-05:00"
+STAMP_CASES = {
+    "year-0000": "0000-03-04T10:00:00.123456+00:00",
+    "2023-02-29": "2023-02-29T10:00:00.123456-05:00",
+    "2024-02-29": "2024-02-29T10:00:00.123456-05:00",
+    "hour-24": "2024-03-04T24:00:00.000000-05:00",
+    "second-60": "2024-03-04T10:00:60.000000-05:00",
+    "offset+24:00": "2024-03-04T10:00:00.123456+24:00",
+    "offset-00:00": "2024-03-04T10:00:00.123456-00:00",
+    "offset-minute-60": "2024-03-04T10:00:00.123456+05:60",
+    "no-fraction": "2024-03-04T10:00:00-05:00",
+    "Z": "2024-03-04T10:00:00.123456Z",
+    "space-separator": "2024-03-04 10:00:00.123456-05:00",
+    "33-characters": GOOD_STAMP + " ",
+    "non-ascii-digit": "2024-03-04T10:00:00.12345\u0666-05:00",
+}
+# Cases with the bulk shape that numpy's parser rejects: no cell of their
+# column is parsed in bulk.
+NUMPY_REJECTS = {"2023-02-29", "hour-24", "second-60"}
+
+
+@pytest.mark.parametrize("case", STAMP_CASES)
+def test_bulk_stamps_agree_with_row_parser(tmp_path, caplog, case):
+    stamp = STAMP_CASES[case]
+    cells = [GOOD_STAMP, stamp, GOOD_STAMP]
+    wall, utc, bulk = estimation._stamps(cells)
+    assert bulk.tolist() == [
+        case not in NUMPY_REJECTS,
+        case in ("2024-02-29", "offset-00:00"),
+        case not in NUMPY_REJECTS,
+    ]
+    for k in np.flatnonzero(bulk):
+        t = estimation._parse_timestamp(cells[k])
+        assert utc[k] == (t - EPOCH) // MICROSECOND
+        assert wall[k] == utc[k] + t.utcoffset() // MICROSECOND
+    # Through ingest, each row gives the reference's value or its warning.
+    path = tmp_path / "closures.csv"
+    rows = [f"r001,{c},pe_positive" for c in cells] + ["r002,yesterday,pe_positive"]
+    path.write_bytes("\n".join([CLOSURE_HEADER, *rows, ""]).encode())
+    new, ref = ingest_both(ingest_closure_log, reference.ingest_closure_log, path, caplog)
+    assert_closure_columns_equal(new, ref)
+    assert new.n_rows == 4
 
 
 @pytest.mark.parametrize(

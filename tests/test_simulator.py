@@ -385,6 +385,11 @@ class TestReplications:
         par = run_replications(params, 6, 4000, 23, workers=3)
         assert seq == par
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_below_one_is_rejected(self, workers):
+        with pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
+            run_replications(make_params(), 4, 1000, 23, workers=workers)
+
     def test_workers_without_forkserver_is_rejected(self, monkeypatch):
         import triagesim.simulator as simulator
 

@@ -3,6 +3,7 @@
 The CLI maps these onto process exit codes, so library code should raise
 the most specific type that applies.
 """
+import csv
 from contextlib import contextmanager
 
 
@@ -28,7 +29,8 @@ class InsufficientDataError(TriageSimError):
 
 @contextmanager
 def reading(path):
-    """Report an input file that cannot be opened or is not UTF-8 text as a
+    """Report an input file that cannot be opened, is not UTF-8 text or that
+    the csv module refuses (a cell past its field size limit) as a
     FormatError that names it."""
     try:
         yield
@@ -36,3 +38,5 @@ def reading(path):
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc

@@ -7,6 +7,16 @@ exponential read times by exam class, plus the dirt the cleaning rules exist
 for (negative TATs, duplicate closures, long breaks, thin reader-days).
 
 Given the same spec, generation is bit-reproducible.
+
+Each generator works in two steps. A loop makes every random draw, one
+scalar `Generator` call at a time in a fixed order, and appends only the
+drawn floats, class codes, reader ids and per-day row counts to column
+lists. The draws cannot be batched without changing the logs: exponential
+and bounded-integer draws take a variable share of the bit stream. The text
+is then built column by column: minutes become int64 microseconds rounded
+exactly as `timedelta(minutes=x)` rounds them (`_minutes_to_us`), are added
+to each day's midnight and are written as `datetime.isoformat()` writes a
+UTC stamp (`_isoformat`). Each file is written with one call.
 """
 from __future__ import annotations
 
@@ -14,7 +24,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +33,15 @@ from .core import ExamClass, trial_stream
 from .errors import ParameterError
 from .estimation import CLOSURE_LOG_COLUMNS, EXAM_LOG_COLUMNS
 
-_UTC = timezone.utc
+_US_PER_MINUTE = 60_000_000
+_US_PER_DAY = 1440 * _US_PER_MINUTE
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+# The stamps a datetime can hold, in microseconds since the epoch.
+_US_MIN = (date.min.toordinal() - _EPOCH_ORDINAL) * _US_PER_DAY
+_US_MAX = (date.max.toordinal() + 1 - _EPOCH_ORDINAL) * _US_PER_DAY - 1
+# Minutes at least this far from 0 cannot give a stamp between them; below
+# it every µs sum stays inside int64.
+_MINUTES_MAX = (_US_MAX - _US_MIN) / _US_PER_MINUTE
 
 
 @dataclass(frozen=True)
@@ -52,6 +70,34 @@ class SyntheticSpec:
     n_thin_reader_days: int = 2
 
     def __post_init__(self) -> None:
+        for names, valid, rule in (
+            (("n_days", "n_residents", "n_staff"), lambda v: v >= 1, "at least 1"),
+            (
+                ("readers_per_day", "closures_per_reader_day", "n_negative_tat", "n_duplicate_closures",
+                 "n_thin_reader_days"),
+                lambda v: v >= 0,
+                "non-negative",
+            ),
+            (("positive_rate", "indeterminate_rate", "break_probability"), lambda v: 0 <= v <= 1, "in [0, 1]"),
+            # A zero mean would never move the arrival clock forward.
+            (
+                ("work_interarrival", "off_interarrival", "read_mean_pe", "read_mean_npp", "read_mean_ncct",
+                 "tat_mean_pre", "tat_mean_post"),
+                lambda v: 0 < v < math.inf,
+                "finite and positive",
+            ),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not valid(value):
+                    raise ParameterError(f"{name} must be {rule}, got {value}")
+        if self.positive_rate + self.indeterminate_rate > 1:
+            raise ParameterError(
+                f"positive_rate + indeterminate_rate must be at most 1, "
+                f"got {self.positive_rate} + {self.indeterminate_rate}"
+            )
+        if self.start_date.toordinal() + self.n_days - 1 > date.max.toordinal():
+            raise ParameterError(f"{self.n_days} days from {self.start_date} run past {date.max}")
         mix = self.closure_mix
         finite = all(0 <= w < math.inf for w in mix)
         if len(mix) != len(ExamClass) or not finite or sum(mix) <= 0:
@@ -71,8 +117,48 @@ class SyntheticSpec:
         return [f"s{k:03d}" for k in range(1, self.n_staff + 1)]
 
 
-def _fmt(ts: datetime) -> str:
-    return ts.isoformat()
+def _minutes_to_us(minutes) -> np.ndarray:
+    """`timedelta(minutes=x) // timedelta(microseconds=1)` for each float x,
+    as int64.
+
+    CPython's timedelta constructor keeps the whole minutes exact, splits the
+    fraction times 60e6 into whole microseconds and a leftover, and rounds
+    the leftover to the nearest integer; an exact half goes to whichever
+    neighbour makes the total even.
+    """
+    minutes = np.asarray(minutes, dtype=np.float64)
+    if not np.all(np.abs(minutes) < _MINUTES_MAX):
+        raise ParameterError("the spec puts a timestamp outside the years 1-9999")
+    fraction, whole = np.modf(minutes)
+    leftover, whole_us = np.modf(fraction * float(_US_PER_MINUTE))
+    total = whole.astype(np.int64) * _US_PER_MINUTE + whole_us.astype(np.int64)
+    step = np.rint(leftover)
+    half = np.abs(leftover) == 0.5
+    step[half] = np.where(total[half] & 1, np.sign(leftover[half]), 0.0)
+    return total + step.astype(np.int64)
+
+
+def _isoformat(us: np.ndarray) -> list[str]:
+    """`datetime.isoformat()` of each UTC stamp given in int64 microseconds
+    since the epoch; like it, leaves out a fraction that is zero."""
+    if us.size and (us.min() < _US_MIN or us.max() > _US_MAX):
+        raise ParameterError("the spec puts a timestamp outside the years 1-9999")
+    stamps = us.astype("datetime64[us]")
+    text = np.datetime_as_string(stamps, unit="us")
+    whole = us % 1_000_000 == 0
+    text[whole] = np.datetime_as_string(stamps[whole], unit="s")
+    return [stamp + "+00:00" for stamp in text.tolist()]
+
+
+def _midnights(spec: SyntheticSpec, day_index) -> np.ndarray:
+    """The start of each given day of the spec, in µs since the epoch."""
+    first = spec.start_date.toordinal() - _EPOCH_ORDINAL
+    return (first + np.asarray(day_index, dtype=np.int64)) * _US_PER_DAY
+
+
+def _row_days(rows_by_day: list[int]) -> np.ndarray:
+    """Each row's day index, from the row count reached at the end of each day."""
+    return np.repeat(np.arange(len(rows_by_day)), np.diff(rows_by_day, prepend=0))
 
 
 def _day_segments(spec: SyntheticSpec, day: date) -> list[tuple[float, float, float]]:
@@ -86,84 +172,95 @@ def _day_segments(spec: SyntheticSpec, day: date) -> list[tuple[float, float, fl
     ]
 
 
-def generate_exam_rows(spec: SyntheticSpec) -> tuple[list[list[str]], dict]:
+def _labels(u: np.ndarray, cuts: tuple[float, ...], names: tuple[str, ...]) -> list[str]:
+    """names[k] for each u, k being the number of the ascending cuts that u
+    is not below."""
+    return [names[k] for k in np.searchsorted(cuts, u, side="right").tolist()]
+
+
+def generate_exam_rows(spec: SyntheticSpec) -> tuple[list[tuple[str, ...]], dict]:
     """Exam-log rows plus realized counts."""
     rng = trial_stream(spec.seed, 0)
+    random, exponential, integers = rng.random, rng.exponential, rng.integers
     residents = spec.resident_ids()
     staff = spec.staff_ids()
-    rows: list[list[str]] = []
-    n_positive_retained = 0
-    exam_counter = 0
+    scan_minutes: list[float] = []
+    tats: list[float] = []
+    u_diagnosis: list[float] = []
+    u_role: list[float] = []
+    readers: list[str] = []
+    u_location: list[float] = []
+    rows_by_day: list[int] = []
     for day_index in range(spec.n_days):
         day = spec.start_date + timedelta(days=day_index)
-        midnight = datetime.combine(day, time(0), tzinfo=_UTC)
         tat_mean = spec.tat_mean_pre if day_index < spec.boundary else spec.tat_mean_post
         for seg_start, seg_end, mean in _day_segments(spec, day):
-            t = seg_start + rng.exponential(mean)
+            t = seg_start + exponential(mean)
             while t < seg_end:
-                exam_counter += 1
-                scan = midnight + timedelta(minutes=float(t))
-                tat = float(rng.exponential(tat_mean))
-                signed = scan + timedelta(minutes=tat)
-                u = rng.random()
-                if u < spec.positive_rate:
-                    diagnosis = "Positive"
-                    n_positive_retained += 1
-                elif u < spec.positive_rate + spec.indeterminate_rate:
-                    diagnosis = "Indeterminate"
+                scan_minutes.append(t)
+                tats.append(exponential(tat_mean))
+                u_diagnosis.append(random())
+                u = random()
+                u_role.append(u)
+                if u < 0.85:
+                    readers.append(residents[integers(len(residents))])
                 else:
-                    diagnosis = "Negative"
-                if rng.random() < 0.85:
-                    reader = residents[int(rng.integers(len(residents)))]
-                    role = "Resident"
-                else:
-                    reader = staff[int(rng.integers(len(staff)))]
-                    role = "Staff"
-                u_loc = rng.random()
-                location = "ED" if u_loc < 0.3 else ("Inpatient" if u_loc < 0.9 else "Outpatient")
-                rows.append(
-                    [
-                        f"E{exam_counter:06d}",
-                        _fmt(scan),
-                        _fmt(signed),
-                        reader,
-                        role,
-                        diagnosis,
-                        location,
-                    ]
-                )
-                t += rng.exponential(mean)
-    # Rows with scan entered after sign-off; ingestion must drop and count them.
+                    readers.append(staff[integers(len(staff))])
+                u_location.append(random())
+                t += exponential(mean)
+        rows_by_day.append(len(scan_minutes))
+    # Rows with scan entered after sign-off, from noon of a random day;
+    # ingestion must drop and count them.
+    late_days: list[int] = []
+    late_minutes: list[float] = []
+    negative_tats: list[float] = []
     for _ in range(spec.n_negative_tat):
-        exam_counter += 1
-        day = spec.start_date + timedelta(days=int(rng.integers(spec.n_days)))
-        scan = datetime.combine(day, time(12), tzinfo=_UTC) + timedelta(
-            minutes=float(rng.uniform(0, 300))
+        late_days.append(integers(spec.n_days))
+        late_minutes.append(rng.uniform(0, 300))
+        negative_tats.append(exponential(45.0) + 1.0)
+
+    scan = _midnights(spec, _row_days(rows_by_day)) + _minutes_to_us(scan_minutes)
+    signed = scan + _minutes_to_us(tats)
+    late_scan = _midnights(spec, late_days) + 720 * _US_PER_MINUTE + _minutes_to_us(late_minutes)
+    late_signed = late_scan - _minutes_to_us(negative_tats)
+
+    n_late = spec.n_negative_tat
+    diagnosis_draws = np.array(u_diagnosis)
+    rates = (spec.positive_rate, spec.positive_rate + spec.indeterminate_rate)
+    rows = list(
+        zip(
+            [f"E{k:06d}" for k in range(1, len(readers) + n_late + 1)],
+            _isoformat(np.concatenate([scan, late_scan])),
+            _isoformat(np.concatenate([signed, late_signed])),
+            readers + [residents[0]] * n_late,
+            _labels(np.array(u_role), (0.85,), ("Resident", "Staff")) + ["Resident"] * n_late,
+            _labels(diagnosis_draws, rates, ("Positive", "Indeterminate", "Negative")) + ["Negative"] * n_late,
+            _labels(np.array(u_location), (0.3, 0.9), ("ED", "Inpatient", "Outpatient")) + ["Inpatient"] * n_late,
         )
-        signed = scan - timedelta(minutes=float(rng.exponential(45.0)) + 1.0)
-        rows.append(
-            [f"E{exam_counter:06d}", _fmt(scan), _fmt(signed), residents[0], "Resident", "Negative", "Inpatient"]
-        )
+    )
     counts = {
         "n_rows": len(rows),
-        "n_negative_tat": spec.n_negative_tat,
-        "n_retained": len(rows) - spec.n_negative_tat,
-        "n_positive_retained": n_positive_retained,
+        "n_negative_tat": n_late,
+        "n_retained": len(rows) - n_late,
+        "n_positive_retained": int(np.count_nonzero(diagnosis_draws < spec.positive_rate)),
     }
     return rows, counts
 
 
-def generate_closure_rows(spec: SyntheticSpec) -> tuple[list[list[str]], dict]:
+def generate_closure_rows(spec: SyntheticSpec) -> tuple[list[tuple[str, str, str]], dict]:
     """Closure-log rows plus realized per-class counts."""
     rng = trial_stream(spec.seed, 1)
+    random, exponential, uniform = rng.random, rng.exponential, rng.uniform
     residents = spec.resident_ids()
     staff = spec.staff_ids()
     class_values = [c.value for c in ExamClass]
-    read_means = {
+    mean_of = {
         ExamClass.PE_POSITIVE.value: spec.read_mean_pe,
         ExamClass.NON_PE_POSITIVE.value: spec.read_mean_npp,
         ExamClass.NON_CHEST_CT.value: spec.read_mean_ncct,
     }
+    read_means = [mean_of[value] for value in class_values]
+    ncct = class_values.index(ExamClass.NON_CHEST_CT.value)
     mix = np.asarray(spec.closure_mix, dtype=float)
     mix = mix / mix.sum()
     # The inverse-CDF draw that rng.choice(len(class_values), p=mix) makes,
@@ -171,12 +268,12 @@ def generate_closure_rows(spec: SyntheticSpec) -> tuple[list[list[str]], dict]:
     cdf = mix.cumsum()
     cdf /= cdf[-1]
     cdf = cdf.tolist()
-    rows: list[list[str]] = []
-    class_counts = {value: 0 for value in class_values}
+    readers: list[str] = []
+    minutes: list[float] = []
+    codes: list[int] = []
+    rows_by_day: list[int] = []
     thin_days_left = spec.n_thin_reader_days
     for day_index in range(spec.n_days):
-        day = spec.start_date + timedelta(days=day_index)
-        midnight = datetime.combine(day, time(0), tzinfo=_UTC)
         on_duty = [
             residents[(day_index * spec.readers_per_day + j) % len(residents)]
             for j in range(min(spec.readers_per_day, len(residents)))
@@ -186,28 +283,36 @@ def generate_closure_rows(spec: SyntheticSpec) -> tuple[list[list[str]], dict]:
             if thin_days_left > 0 and day_index % 7 == 3 and reader == on_duty[0]:
                 n_closures = 20  # deliberately below the daily minimum
                 thin_days_left -= 1
-            t = 450.0 + float(rng.uniform(0.0, 30.0))  # shift starts around 07:30
+            t = 450.0 + uniform(0.0, 30.0)  # shift starts around 07:30
             for _ in range(n_closures):
-                exam_class = class_values[bisect_right(cdf, rng.random())]
-                gap = float(rng.exponential(read_means[exam_class]))
-                if rng.random() < spec.break_probability:
-                    gap += float(rng.uniform(70.0, 120.0))
+                code = bisect_right(cdf, random())
+                gap = exponential(read_means[code])
+                if random() < spec.break_probability:
+                    gap += uniform(70.0, 120.0)
                 t += gap
                 if t >= 1439.0:
                     break
-                rows.append([reader, _fmt(midnight + timedelta(minutes=t)), exam_class])
-                class_counts[exam_class] += 1
+                readers.append(reader)
+                minutes.append(t)
+                codes.append(code)
         # Staff closures exist in real logs; read-time estimation must skip them.
         staff_reader = staff[day_index % len(staff)]
         t = 500.0
         for _ in range(40):
-            t += float(rng.exponential(10.0))
+            t += exponential(10.0)
             if t >= 1439.0:
                 break
-            rows.append([staff_reader, _fmt(midnight + timedelta(minutes=t)), ExamClass.NON_CHEST_CT.value])
-            class_counts[ExamClass.NON_CHEST_CT.value] += 1
+            readers.append(staff_reader)
+            minutes.append(t)
+            codes.append(ncct)
+        rows_by_day.append(len(minutes))
+
+    stamps = _isoformat(_midnights(spec, _row_days(rows_by_day)) + _minutes_to_us(minutes))
+    rows = list(zip(readers, stamps, [class_values[code] for code in codes]))
+    per_class = np.bincount(np.array(codes, dtype=np.intp), minlength=len(class_values)).tolist()
+    class_counts = dict(zip(class_values, per_class))
     for k in range(spec.n_duplicate_closures):
-        duplicate = list(rows[k * 37 % len(rows)])
+        duplicate = rows[k * 37 % len(rows)]
         rows.append(duplicate)
         class_counts[duplicate[2]] += 1
     counts = {"n_rows": len(rows), "per_class": class_counts}
@@ -257,8 +362,7 @@ def _spec_dict(spec: SyntheticSpec) -> dict:
     return raw
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> None:
+def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
+    lines = [",".join(header), *map(",".join, rows)]
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+        handle.write("\n".join(lines) + "\n")

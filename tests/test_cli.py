@@ -177,6 +177,17 @@ def _unreadable_case(case, corpus, params_file, tmp_path):
         lines[5] = lines[5].replace(b",", b"\xff,", 1)
         bad.write_bytes(b"".join(lines))
         return ["estimate", "--exam-log", str(bad)], bad
+    if case.startswith("a quoted cell past csv's field limit"):
+        # csv.reader refuses a cell longer than csv.field_size_limit().
+        name = "exam_log.csv" if case.endswith("exam log") else "closure_log.csv"
+        lines = (root / name).read_text().splitlines(keepends=True)
+        cells = lines[5].split(",")
+        cells[-1] = '"' + "x" * (csv.field_size_limit() + 10) + '"\n'
+        lines[5] = ",".join(cells)
+        bad.write_text("".join(lines))
+        if name == "exam_log.csv":
+            return ["estimate", "--exam-log", str(bad)], bad
+        return ["estimate", "--exam-log", exam_log, "--closure-log", str(bad)], bad
     assert case == "0xff in the params file"
     bad.write_bytes(params_file.read_bytes().replace(b"schema_version", b"schema\xffversion"))
     return ["sweep", "--params", str(bad)], bad
@@ -192,6 +203,8 @@ def _unreadable_case(case, corpus, params_file, tmp_path):
         "directory as --exam-log",
         "0xff in an exam log row",
         "0xff in the params file",
+        "a quoted cell past csv's field limit in the exam log",
+        "a quoted cell past csv's field limit in the closure log",
     ],
 )
 def test_unreadable_input_exits_2(corpus, params_file, tmp_path, caplog, case):

@@ -9,12 +9,12 @@ Two logs drive everything:
   class), whose per-reader inter-closure gaps serve as a read-time
   surrogate.
 
-Each log is read a chunk of text at a time and parsed column by column
-(_Rows). A chunk with no quote is split with str.split; any other goes
-through csv.reader. Timestamps in the exact shape isoformat() writes are
-parsed by numpy, and tokens through one cache per enum. The rows the bulk
-step cannot take, and only those, go through the per-row loop body, which
-stays the one definition of a valid row and of every warning.
+Both logs are read by _Rows, the one definition of a valid row and of
+every warning. It reads a chunk of text at a time, parses it column by
+column (timestamps in the shape isoformat() writes by numpy, tokens through
+one cache per enum), parses the rows that step cannot take one cell at a
+time, and yields the valid rows only. Each ingest function adds only its
+own log's rules.
 
 Distribution means are estimated by least-squares fits of a * exp(-t / m) to
 density-normalized gap histograms, with the amplitude a in closed form and
@@ -117,13 +117,18 @@ _STAMP = "0000-00-00T00:00:00.000000+00:00"
 _DIGIT = np.array([c == "0" for c in _STAMP])
 _SEPARATORS = np.array([ord(c) for c in _STAMP if c != "0"], dtype=np.uint32)
 _SIGN = _STAMP.replace("0", "").index("+")
+# One past the largest value of each two-digit field of _STAMP, and the
+# days in each month of a common year (months 0 and 13 have none).
+_FIELD_ENDS = np.array([100, 100, 13, 32, 24, 60, 60, 100, 100, 100, 24, 60], dtype=np.uint32)
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
 
 
 def _stamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Wall-clock and UTC microseconds of each cell, and whether it was parsed
-    in bulk: it has the _STAMP shape, a year other than 0000 and an offset
-    below 24:00, and numpy parses its first 26 characters. If numpy rejects
-    any cell, none counts as parsed. Other cells' times are meaningless."""
+    in bulk: it has the _STAMP shape and names a date that exists in a year
+    other than 0000, a time of day before 24:00 and an offset below 24:00.
+    Should numpy still reject a cell, none counts as parsed. Other cells'
+    times are meaningless."""
     text = np.array(cells, dtype=str)
     ok = np.ones(text.size, dtype=bool)
     if text.dtype.itemsize != 4 * len(_STAMP):
@@ -134,17 +139,23 @@ def _stamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     separators = code[:, ~_DIGIT]
     minus = separators[:, _SIGN] == ord("-")
     separators[minus, _SIGN] = ord("+")
-    ok &= (digits <= 9).all(1) & (separators == _SEPARATORS).all(1) & digits[:, :4].any(1)
-    zone = np.where(ok[:, None], digits[:, -4:], 0).astype(np.int64)  # the offset's digits
-    hours, minutes = zone[:, 0] * 10 + zone[:, 1], zone[:, 2] * 10 + zone[:, 3]
-    ok &= (hours < 24) & (minutes < 60)
+    ok &= (digits <= 9).all(1) & (separators == _SEPARATORS).all(1)
+    # The two-digit fields, meaningless where not ok: century, year, month,
+    # day, hour, minute, second, the fraction's three and the offset's two.
+    fields = digits[:, ::2] * 10 + digits[:, 1::2]
+    century, year, month, day, *_, hours, minutes = fields.T
+    # numpy can crash rather than raise on a long column holding a cell its
+    # parser rejects, so only real dates and times of day may reach it.
+    leap_day = (month == 2) & (year % 4 == 0) & ((year > 0) | (century % 4 == 0))
+    ok &= (fields < _FIELD_ENDS).all(1) & (century + year > 0) & (day > 0)
+    ok &= day <= _MONTH_DAYS[np.minimum(month, 13)] + leap_day
     text[~ok] = "1970-01-01T00:00:00.000000+00:00"
     try:
         local = code[:, :26].astype(np.uint8).view("S26")[:, 0]  # all ASCII now
         wall = local.astype("datetime64[us]").view(np.int64)
     except ValueError:
         wall, ok = np.zeros(text.size, np.int64), np.zeros_like(ok)
-    offset = (hours * 60 + minutes) * np.where(minus, -60 * 10**6, 60 * 10**6)
+    offset = np.where(ok, hours * 60 + minutes, 0) * np.where(minus, -60 * 10**6, 60 * 10**6)
     return wall, wall - offset, ok
 
 
@@ -202,45 +213,49 @@ CHUNK_CHARS = 1 << 16
 
 
 class _Rows:
-    """The rows of a log after its header, a chunk at a time, column by column.
+    """The valid rows of a log after its header, a chunk at a time, parsed.
 
-    An empty file has no rows, a wrong header is fatal and a leading UTF-8
-    byte-order mark is ignored. Each chunk, about CHUNK_CHARS characters cut
-    at a record end, is yielded as len(columns) columns of cells, blank in a
-    row with the wrong cell count. The caller passes the rows it cannot parse
-    in bulk to slow(), and those that then fail to reject(), which skips an
-    all-blank row uncounted and logs any other, with its line number, as
-    malformed. n_rows counts the non-blank rows.
+    Each column has a kind: str (yielded as its cells), datetime (a 2-row
+    array of wall-clock and UTC int64 microseconds) or a _Tokens (member
+    indexes). An empty file has no rows, a wrong header is fatal and a
+    leading UTF-8 byte-order mark is ignored. Each chunk, about CHUNK_CHARS
+    characters cut at a record end, is parsed by _stamps and _Tokens.codes;
+    a row they cannot take is parsed a cell at a time in column order, so
+    the first cell that fails names the fault. A row with the wrong cell
+    count or a failing cell is skipped: uncounted if all blank, else logged
+    as malformed with the file line on which it starts. n_rows counts the
+    non-blank rows.
     """
 
-    def __init__(self, path, columns: tuple[str, ...]):
+    def __init__(self, path, columns: tuple[str, ...], kinds: tuple):
         self.path = path
         self.columns = columns
-        self.line_no = 1
-        self.n_rows = self.n_blank = self.n_malformed = 0
+        self.kinds = kinds
+        self.n_rows = self.n_malformed = 0
 
     def __iter__(self):
         with reading(self.path), open(self.path, newline="", encoding="utf-8-sig") as handle:
             more = iter(handle.readline, "")
-            header = next(csv.reader(more), None)
+            header_reader = csv.reader(more)
+            header = next(header_reader, None)
             if header is None:
                 return
             names = tuple(h.strip().lower() for h in header)
             if names != self.columns:
                 raise FormatError(f"{self.path}: expected columns {self.columns}, found {names}")
+            line = header_reader.line_num + 1
             while text := handle.read(CHUNK_CHARS):
-                self.rows, self.chunk = self._split(text + handle.readline(), more)
-                self.first = self.line_no + 1
-                yield self.chunk
-                self.line_no = self.first + len(self.chunk[0]) - 1
-        self.n_rows = self.line_no - 1 - self.n_blank
+                rows, columns, starts = self._split(text + handle.readline(), more, line)
+                yield self._valid(rows, columns, starts)
+                line = starts[-1]
 
-    def _split(self, text: str, more) -> tuple[list[list[str]] | None, list[Sequence[str]]]:
-        """The rows of text (None where the columns hold them) and its columns.
-        Text with no quote, NUL, lone CR or room for a cell over csv's field
-        limit, whose rows all have len(columns) cells, is split with
-        str.split; other text goes through csv.reader, which reads on from
-        more while a quoted cell is open."""
+    def _split(self, text: str, more, line: int):
+        """The rows of text (None where the columns hold them), its columns,
+        and the file line each row starts on, from line, then the next free
+        line. Text with no quote, NUL, lone CR or room for a cell over csv's
+        field limit, whose rows all have len(columns) cells, is split with
+        str.split, a row to a line; other text goes through csv.reader,
+        which reads on from more while a quoted cell is open."""
         k = len(self.columns)
         plain = not ('"' in text or "\0" in text or len(text) > csv.field_size_limit())
         if plain and "\r" in text:
@@ -255,33 +270,56 @@ class _Rows:
             cells = body.replace("\n", ",\n,").split(",")
             n = (len(cells) + 1) // (k + 1)
             if len(cells) == n * (k + 1) - 1 and cells[k :: k + 1].count("\n") == n - 1:
-                return None, [cells[j :: k + 1] for j in range(k)]
+                return None, [cells[j :: k + 1] for j in range(k)], range(line, line + n + 1)
         lines = list(io.StringIO(text, newline=""))
         reader = csv.reader(chain(lines, more))
-        rows = []
+        rows, starts = [], [line]
         for row in reader:
             rows.append(row)
+            starts.append(line + reader.line_num)
             if reader.line_num >= len(lines):
                 break
-        blank = [""] * k
-        return rows, list(zip(*(row if len(row) == k else blank for row in rows)))
+        return rows, list(zip(*(row if len(row) == k else [""] * k for row in rows))), starts
 
-    def slow(self, ok: np.ndarray):
-        """The index and cells of each row of the chunk not in ok, in order."""
+    def _valid(self, rows, columns: list[Sequence[str]], starts) -> list:
+        """The chunk's valid rows, one entry per column."""
+        ok = np.ones(len(columns[0]), dtype=bool)
+        parsed = []
+        for kind, cells in zip(self.kinds, columns):
+            if kind is str:
+                parsed.append(cells)
+            elif kind is datetime:
+                wall, utc, bulk = _stamps(cells)
+                parsed.append(np.stack([wall, utc]))
+                ok &= bulk
+            else:
+                parsed.append(kind.codes(cells))
+                ok &= parsed[-1] >= 0
+        self.n_rows += ok.size
         for i in np.flatnonzero(~ok).tolist():
-            self.line_no = self.first + i
-            self.row = self.rows[i] if self.rows is not None else [c[i] for c in self.chunk]
-            yield i, self.row
-
-    def reject(self, exc: ValueError) -> None:
-        row = self.row
-        if not any(cell.strip() for cell in row):
-            self.n_blank += 1
-            return
-        if len(row) != len(self.columns):  # the caller's unpacking failed
-            exc = ValueError(f"expected {len(self.columns)} fields, found {len(row)}")
-        log.warning("%s line %d: skipping malformed row (%s)", self.path, self.line_no, exc)
-        self.n_malformed += 1
+            row = rows[i] if rows is not None else [c[i] for c in columns]
+            try:
+                if len(row) != len(self.kinds):
+                    raise ValueError(f"expected {len(self.kinds)} fields, found {len(row)}")
+                for kind, cell, column in zip(self.kinds, row, parsed):
+                    if kind is datetime:
+                        t = _parse_timestamp(cell)
+                        utc = (t - _EPOCH) // _US
+                        column[:, i] = utc + t.utcoffset() // _US, utc
+                    elif kind is not str:
+                        column[i] = kind[cell]
+            except ValueError as exc:
+                if not any(cell.strip() for cell in row):
+                    self.n_rows -= 1
+                    continue
+                log.warning("%s line %d: skipping malformed row (%s)", self.path, starts[i], exc)
+                self.n_malformed += 1
+            else:
+                ok[i] = True
+        if ok.all():
+            return parsed
+        keep = ok.tolist()
+        return [list(compress(c, keep)) if kind is str else c[..., ok] for kind, c in zip(self.kinds, parsed)]
 
 
 def ingest_exam_log(path) -> ExamLogIngest:
@@ -295,48 +333,27 @@ def ingest_exam_log(path) -> ExamLogIngest:
     """
     roles = _Tokens(ReaderRole, "reader role")
     diagnoses = _Tokens(Diagnosis, "diagnosis")
-    locations = _Tokens(Location, "location")
     positive_code = diagnoses.members.index(Diagnosis.POSITIVE)
     reader_roles: dict[str, ReaderRole] = {}
     scan_utc, scan_wall, tat_us = array("q"), array("q"), array("q")
     positive = bytearray()
     seen: set[str] = set()
     n_duplicate = n_negative = 0
-    rows = _Rows(path, EXAM_LOG_COLUMNS)
-    for exam_ids, scan_cells, signed_cells, reader_ids, *token_cells in rows:
-        wall, utc, ok = _stamps(scan_cells)
-        _, signed_utc, signed_ok = _stamps(signed_cells)
-        role, diagnosis, location = map(_Tokens.codes, (roles, diagnoses, locations), token_cells)
-        ok &= signed_ok & (role >= 0) & (diagnosis >= 0) & (location >= 0)
-        for i, row in rows.slow(ok):
-            try:
-                exam_id, scan, signed, reader_id, role_cell, diagnosis_cell, location = row
-                scan = _parse_timestamp(scan)
-                signed = _parse_timestamp(signed)
-                role[i] = roles[role_cell]
-                diagnosis[i] = diagnoses[diagnosis_cell]
-                locations[location]  # checked, not kept
-            except ValueError as exc:
-                rows.reject(exc)
-                continue
-            ok[i] = True
-            utc[i] = (scan - _EPOCH) // _US
-            wall[i] = utc[i] + scan.utcoffset() // _US
-            signed_utc[i] = (signed - _EPOCH) // _US
-        parsed, is_parsed = np.flatnonzero(ok), ok.tolist()
-        duplicate = _repeated(list(map(str.strip, compress(exam_ids, is_parsed))), seen)
-        tat = signed_utc[parsed] - utc[parsed]
+    kinds = (str, datetime, datetime, str, roles, diagnoses, _Tokens(Location, "location"))
+    rows = _Rows(path, EXAM_LOG_COLUMNS, kinds)
+    for exam_ids, (wall, utc), (_, signed_utc), reader_ids, role, diagnosis, _ in rows:
+        duplicate = _repeated(list(map(str.strip, exam_ids)), seen)
+        tat = signed_utc - utc
         n_duplicate += int(duplicate.sum())
         n_negative += int((~duplicate & (tat < 0)).sum())
         kept = ~duplicate & (tat >= 0)
-        retained = parsed[kept]
-        scan_utc.frombytes(utc[retained].tobytes())
-        scan_wall.frombytes(wall[retained].tobytes())
+        scan_utc.frombytes(utc[kept].tobytes())
+        scan_wall.frombytes(wall[kept].tobytes())
         tat_us.frombytes(tat[kept].tobytes())
-        positive += (diagnosis[retained] == positive_code).tobytes()
-        retained_readers = compress(compress(reader_ids, is_parsed), kept.tolist())
-        retained_roles = map(roles.members.__getitem__, role[retained].tolist())
-        reader_roles.update(zip(map(str.strip, retained_readers), retained_roles))
+        positive += (diagnosis[kept] == positive_code).tobytes()
+        retained_readers = map(str.strip, compress(reader_ids, kept.tolist()))
+        retained_roles = map(roles.members.__getitem__, role[kept].tolist())
+        reader_roles.update(zip(retained_readers, retained_roles))
     return ExamLogIngest(
         scan_utc_us=np.frombuffer(scan_utc, np.int64),
         scan_wall_us=np.frombuffer(scan_wall, np.int64),
@@ -353,37 +370,21 @@ def ingest_exam_log(path) -> ExamLogIngest:
 def ingest_closure_log(path) -> ClosureLogIngest:
     """Parse the case-closure log (reader, closure time, exam class) into
     columns, rejecting rows as ingest_exam_log does."""
-    classes = _Tokens(ExamClass, "exam class")
     # Distinct reader ids in order of first appearance -> code, and each raw
     # cell -> the code of its stripped id.
     reader_code: dict[str, int] = {}
     cell_code: dict[str, int] = {}
     reader_col, closed_utc, closed_wall = array("q"), array("q"), array("q")
     class_col = bytearray()
-    rows = _Rows(path, CLOSURE_LOG_COLUMNS)
-    for reader_ids, closed_cells, class_cells in rows:
-        wall, utc, ok = _stamps(closed_cells)
-        exam_class = classes.codes(class_cells)
-        ok &= exam_class >= 0
-        for i, row in rows.slow(ok):
-            try:
-                reader_id, closed, class_cell = row
-                closed = _parse_timestamp(closed)
-                exam_class[i] = classes[class_cell]
-            except ValueError as exc:
-                rows.reject(exc)
-                continue
-            ok[i] = True
-            utc[i] = (closed - _EPOCH) // _US
-            wall[i] = utc[i] + closed.utcoffset() // _US
-        closed_utc.frombytes(utc[ok].tobytes())
-        closed_wall.frombytes(wall[ok].tobytes())
-        class_col += exam_class[ok].astype(np.uint8).tobytes()
-        cells = list(compress(reader_ids, ok.tolist()))
-        for raw in dict.fromkeys(cells):
+    rows = _Rows(path, CLOSURE_LOG_COLUMNS, (str, datetime, _Tokens(ExamClass, "exam class")))
+    for reader_ids, (wall, utc), exam_class in rows:
+        closed_utc.frombytes(utc.tobytes())
+        closed_wall.frombytes(wall.tobytes())
+        class_col += exam_class.astype(np.uint8).tobytes()
+        for raw in dict.fromkeys(reader_ids):
             if raw not in cell_code:
                 cell_code[raw] = reader_code.setdefault(raw.strip(), len(reader_code))
-        reader_col.extend(map(cell_code.__getitem__, cells))
+        reader_col.extend(map(cell_code.__getitem__, reader_ids))
     return ClosureLogIngest(
         readers=tuple(reader_code),
         reader=np.frombuffer(reader_col, np.int64),

@@ -70,14 +70,21 @@ class SyntheticSpec:
     n_thin_reader_days: int = 2
 
     def __post_init__(self) -> None:
+        at_least_one = ("n_days", "n_residents", "n_staff")
+        non_negative = (
+            "readers_per_day", "closures_per_reader_day", "n_negative_tat", "n_duplicate_closures",
+            "n_thin_reader_days",
+        )
+        for name in ("seed", *at_least_one, *non_negative, "boundary_day"):
+            value = getattr(self, name)
+            if value is None and name == "boundary_day":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # json cannot write a numpy integer
         for names, valid, rule in (
-            (("n_days", "n_residents", "n_staff"), lambda v: v >= 1, "at least 1"),
-            (
-                ("readers_per_day", "closures_per_reader_day", "n_negative_tat", "n_duplicate_closures",
-                 "n_thin_reader_days"),
-                lambda v: v >= 0,
-                "non-negative",
-            ),
+            (at_least_one, lambda v: v >= 1, "at least 1"),
+            (non_negative, lambda v: v >= 0, "non-negative"),
             (("positive_rate", "indeterminate_rate", "break_probability"), lambda v: 0 <= v <= 1, "in [0, 1]"),
             # A zero mean would never move the arrival clock forward.
             (

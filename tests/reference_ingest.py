@@ -131,7 +131,7 @@ def _read_rows(path, expected_columns: tuple[str, ...]):
             raise FormatError(
                 f"{path}: expected columns {expected_columns}, found {names}"
             )
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in zip(iter(lambda: reader.line_num + 1, None), reader):
             if not row or all(not cell.strip() for cell in row):
                 continue
             yield line_no, row

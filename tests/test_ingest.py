@@ -33,8 +33,6 @@ from triagesim.estimation import (
 )
 from triagesim.synthetic import SyntheticSpec, generate_closure_rows, generate_exam_rows
 
-pytestmark = pytest.mark.filterwarnings("error")
-
 UTC = timezone.utc
 EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
 MICROSECOND = timedelta(microseconds=1)
@@ -265,6 +263,48 @@ def test_reader_variants_match_reference(tmp_path, caplog, monkeypatch, variant,
         assert {"r0,03", "r0,08", f"r0{newline}05"} <= set(new.readers)
 
 
+STAMP = "2024-03-04T10:00:00.000000-05:00"
+# Rows 1 and 4 (E1, E4) each hold a quoted line break, so the bad rows E3
+# and E5 start on file lines 5 and 9, where a count of records gives 4 and 7.
+LINE_BREAK_LOGS = {
+    ingest_exam_log: [
+        EXAM_HEADER,
+        f'E1,{STAMP},{STAMP},"r0\n01",Resident,Negative,ED',
+        f"E2,{STAMP},{STAMP},r002,Staff,Positive,ED",
+        f"E3,not-a-time,{STAMP},r003,Staff,Positive,ED",
+        "",
+        f'E4,{STAMP},{STAMP},r004,Staff,Negative,"ED\n"',
+        f"E5,{STAMP},{STAMP},r005,Janitor,Negative,ED",
+    ],
+    ingest_closure_log: [
+        CLOSURE_HEADER,
+        f'"r0\n01",{STAMP},pe_positive',
+        f"r002,{STAMP},pe_positive",
+        "r003,not-a-time,pe_positive",
+        "",
+        f'r004,{STAMP},"non_chest_ct\n"',
+        f"r005,{STAMP},mystery",
+    ],
+}
+
+
+@pytest.mark.parametrize("ingest", LINE_BREAK_LOGS, ids=["exam", "closure"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("chunk_chars", [None, 64], ids=["default-chunks", "64-char-chunks"])
+def test_warnings_name_the_line_a_row_starts_on(tmp_path, caplog, monkeypatch, ingest, newline, chunk_chars):
+    if chunk_chars:
+        monkeypatch.setattr(estimation, "CHUNK_CHARS", chunk_chars)
+    path = tmp_path / "log.csv"
+    path.write_bytes("\n".join([*LINE_BREAK_LOGS[ingest], ""]).replace("\n", newline).encode())
+    reference_ingest = getattr(reference, ingest.__name__)
+    new, ref = ingest_both(ingest, reference_ingest, path, caplog)
+    assert [w.split(": skipping")[0] for w in warnings_from(caplog, "triagesim.estimation")] == [
+        f"{path} line 5",
+        f"{path} line 9",
+    ]
+    assert (new.n_rows, new.n_malformed) == (ref.n_rows, ref.n_malformed) == (5, 2)
+
+
 def test_duplicates_found_across_chunks(tmp_path, caplog, monkeypatch):
     """Two parsed rows copied, one right after its original and one 1,000
     lines on, are excluded as duplicates however chunks cut the log."""
@@ -308,10 +348,16 @@ STAMP_CASES = {
     "space-separator": "2024-03-04 10:00:00.123456-05:00",
     "33-characters": GOOD_STAMP + " ",
     "non-ascii-digit": "2024-03-04T10:00:00.12345\u0666-05:00",
+    "month-00": "2024-00-04T10:00:00.123456-05:00",
+    "month-13": "2024-13-04T10:00:00.123456-05:00",
+    "day-00": "2024-03-00T10:00:00.123456-05:00",
+    "2024-04-31": "2024-04-31T10:00:00.123456-05:00",
+    "1900-02-29": "1900-02-29T10:00:00.123456-05:00",
+    "2000-02-29": "2000-02-29T10:00:00.123456-05:00",
+    "minute-60": "2024-03-04T10:60:00.000000-05:00",
 }
-# Cases with the bulk shape that numpy's parser rejects: no cell of their
-# column is parsed in bulk.
-NUMPY_REJECTS = {"2023-02-29", "hour-24", "second-60"}
+# Cases with the bulk shape that numpy's parser rejects.
+NUMPY_REJECTS = ("2023-02-29", "hour-24", "second-60", "month-00", "month-13", "day-00", "2024-04-31", "1900-02-29")
 
 
 @pytest.mark.parametrize("case", STAMP_CASES)
@@ -319,11 +365,7 @@ def test_bulk_stamps_agree_with_row_parser(tmp_path, caplog, case):
     stamp = STAMP_CASES[case]
     cells = [GOOD_STAMP, stamp, GOOD_STAMP]
     wall, utc, bulk = estimation._stamps(cells)
-    assert bulk.tolist() == [
-        case not in NUMPY_REJECTS,
-        case in ("2024-02-29", "offset-00:00"),
-        case not in NUMPY_REJECTS,
-    ]
+    assert bulk.tolist() == [True, case in ("2024-02-29", "2000-02-29", "offset-00:00"), True]
     for k in np.flatnonzero(bulk):
         t = estimation._parse_timestamp(cells[k])
         assert utc[k] == (t - EPOCH) // MICROSECOND
@@ -335,6 +377,19 @@ def test_bulk_stamps_agree_with_row_parser(tmp_path, caplog, case):
     new, ref = ingest_both(ingest_closure_log, reference.ingest_closure_log, path, caplog)
     assert_closure_columns_equal(new, ref)
     assert new.n_rows == 4
+
+
+@pytest.mark.parametrize("case", NUMPY_REJECTS)
+def test_long_column_with_a_stamp_numpy_rejects(tmp_path, caplog, case):
+    # numpy's parser crashed the process, rather than raise, on a column of
+    # 1,000 cells holding one such stamp; a chunk holds about 1,300 of these rows.
+    rows = [f"r001,{GOOD_STAMP},pe_positive"] * 2000
+    rows[1234] = f"r002,{STAMP_CASES[case]},pe_positive"
+    path = tmp_path / "closures.csv"
+    path.write_text("\n".join([CLOSURE_HEADER, *rows, ""]))
+    new, ref = ingest_both(ingest_closure_log, reference.ingest_closure_log, path, caplog)
+    assert_closure_columns_equal(new, ref)
+    assert (new.n_rows, new.n_malformed, new.readers) == (2000, 1, ("r001",))
 
 
 @pytest.mark.parametrize(

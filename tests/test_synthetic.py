@@ -186,6 +186,37 @@ def test_out_of_range_fields_are_rejected(field, value):
         SyntheticSpec(**{field: value})
 
 
+INTEGER_FIELDS = (
+    "seed",
+    "n_days",
+    "n_residents",
+    "n_staff",
+    "readers_per_day",
+    "closures_per_reader_day",
+    "n_negative_tat",
+    "n_duplicate_closures",
+    "n_thin_reader_days",
+    "boundary_day",
+)
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_fields_that_count_must_be_integers(field):
+    # A fractional n_thin_reader_days once wrote one thin reader-day too
+    # many, and the other fields failed later with a TypeError.
+    for value in (2.5, 2.0, True, np.float64(2.0), "2"):
+        with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+            SyntheticSpec(**{field: value})
+
+
+def test_numpy_integers_are_accepted(tmp_path):
+    fields = {"seed": 9, "n_days": 6, "n_thin_reader_days": 1, "boundary_day": 2}
+    generate_corpus(tmp_path / "python", SyntheticSpec(**fields))
+    generate_corpus(tmp_path / "numpy", SyntheticSpec(**{k: np.int64(v) for k, v in fields.items()}))
+    for name in CORPUS_FILES:
+        assert filecmp.cmp(tmp_path / "python" / name, tmp_path / "numpy" / name, shallow=False)
+
+
 def test_diagnosis_rates_above_one_are_rejected():
     with pytest.raises(ParameterError, match="positive_rate"):
         SyntheticSpec(positive_rate=0.7, indeterminate_rate=0.4)

@@ -34,6 +34,8 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
     TriageSimError,
+    integer,
+    positive,
 )
 from .estimation import (
     WORK_BLOCK,
@@ -53,6 +55,7 @@ from .paramfile import (
     empty_document,
     load_parameters,
     missing_fields,
+    read_value,
     save_parameters,
     workflow_params_from_doc,
 )
@@ -314,16 +317,9 @@ def cmd_roc_sweep(args) -> int:
     n_points = args.points if args.points is not None else (
         QUICK_ROC_POINTS if args.quick else FULL_ROC_POINTS
     )
-    if args.interarrival is not None:
-        interarrival = args.interarrival
-    else:
-        block = doc.get("interarrival", {}).get("work")
-        if not block:
-            raise ParameterError(
-                "no --interarrival given and the parameter file has no "
-                "work-hour inter-arrival summary"
-            )
-        interarrival = float(block["mean"])
+    interarrival = args.interarrival
+    if interarrival is None:
+        interarrival = float(read_value(doc, "interarrival.work.mean", positive))
     base = workflow_params_from_doc(doc, interarrival, args.radiologists)
 
     # The sweep curve lives in queue-adjusted FPF space: it passes through
@@ -331,10 +327,9 @@ def cmd_roc_sweep(args) -> int:
     # flagging nothing and flagging the whole queue. The raw target-modality
     # FPF is reported alongside for reference.
     curve = fit_from_point(base.device.tpf, base.device.fpf_adjusted, slope=cfg.roc_slope)
-    counts = doc.get("counts", {})
-    ratio = None
-    if counts.get("n_non_pe_positive") and counts.get("n_non_chest_ct") is not None:
-        ratio = counts["n_non_chest_ct"] / counts["n_non_pe_positive"]
+    n_npp = read_value(doc, "counts.n_non_pe_positive", integer, required=False)
+    n_ncct = read_value(doc, "counts.n_non_chest_ct", integer, required=False)
+    ratio = n_ncct / n_npp if n_npp and n_ncct is not None else None
 
     rows = []
     for fpf_adjusted, tpf in sample_operating_points(curve, n_points):
@@ -522,8 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"triagesim {__version__}")
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="YAML analysis configuration")
     shared.add_argument("--out", default=".", help="output directory")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", help="YAML analysis configuration")
     sim = argparse.ArgumentParser(add_help=False)
     sim.add_argument("--seed", type=int, default=42, help="master random seed")
     sim.add_argument(
@@ -536,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("estimate", parents=[shared], help="estimate workflow parameters from logs")
+    p = sub.add_parser("estimate", parents=[shared, configured], help="estimate workflow parameters from logs")
     p.add_argument("--exam-log", required=True)
     p.add_argument("--closure-log", default=None)
     p.set_defaults(func=cmd_estimate)
@@ -547,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radiologists", default=None, help="grid: comma list or start:stop:step")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("roc-sweep", parents=[shared, sim], help="time-savings along the device ROC curve")
+    p = sub.add_parser("roc-sweep", parents=[shared, configured, sim], help="time-savings along the device ROC curve")
     p.add_argument("--params", required=True)
     p.add_argument("--points", type=int, default=None, help="operating points along the curve")
     p.add_argument("--radiologists", type=int, default=3)
@@ -563,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42, help="master random seed")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("compare", parents=[shared], help="observed pre/post TAT comparison")
+    p = sub.add_parser("compare", parents=[shared, configured], help="observed pre/post TAT comparison")
     p.add_argument("--exam-log", required=True)
     p.set_defaults(func=cmd_compare)
 

@@ -7,7 +7,6 @@ the device's reported operating point.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from datetime import date, datetime, time
 from types import UnionType
@@ -15,7 +14,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .errors import FormatError, reading
+from .errors import FormatError, ParameterError, check_fields, integer, positive, reading, share
 
 
 def _parse_clock(value) -> time:
@@ -126,18 +125,15 @@ class AnalysisConfig:
             if not _is_instance(value, hints[key]):
                 kind = getattr(hints[key], "__name__", hints[key])
                 raise FormatError(f"{source}: {key} must be {kind}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise FormatError(f"{source}: {key} must be finite, got {value!r}")
         cfg = cls(**values)
-        positive = ("interarrival_bin_minutes", "readtime_bin_minutes", "max_read_gap_minutes", "roc_slope")
-        for keys, rule, ok in (
-            (positive, "> 0", lambda v: v > 0),
-            (("min_daily_closures", "min_gaps_per_fit", "min_daily_gaps"), ">= 0", lambda v: v >= 0),
-            (("device_tpf", "device_specificity"), "in [0, 1]", lambda v: v is None or 0 <= v <= 1),
-        ):
-            for key in keys:
-                if not ok(getattr(cfg, key)):
-                    raise FormatError(f"{source}: {key} must be {rule}, got {getattr(cfg, key)!r}")
+        try:
+            check_fields(cfg, positive, "interarrival_bin_minutes", "readtime_bin_minutes")
+            check_fields(cfg, positive, "max_read_gap_minutes", "roc_slope")
+            check_fields(cfg, integer, "min_daily_closures", "min_gaps_per_fit", "min_daily_gaps")
+            shares = ("device_tpf", "device_specificity")
+            check_fields(cfg, share, *(key for key in shares if getattr(cfg, key) is not None))
+        except ParameterError as exc:
+            raise FormatError(f"{source}: {exc}") from exc
         if not cfg.work_start < cfg.work_end:
             raise FormatError(
                 f"{source}: work_start {cfg.work_start} must be before work_end {cfg.work_end}"

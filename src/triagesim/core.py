@@ -11,10 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleParametersError, ParameterError
-
-_MASK64 = (1 << 64) - 1
-
+from .errors import InfeasibleParametersError, check_fields, integer, positive, share
 
 class ExamClass(enum.Enum):
     """The three exam populations sharing one reading queue."""
@@ -71,12 +68,7 @@ class DeviceOperatingPoint:
     fpf_adjusted: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.tpf <= 1.0:
-            raise ParameterError(f"tpf must be in [0, 1], got {self.tpf}")
-        if not 0.0 <= self.fpf_adjusted <= 1.0:
-            raise ParameterError(
-                f"fpf_adjusted must be in [0, 1], got {self.fpf_adjusted}"
-            )
+        check_fields(self, share, "tpf", "fpf_adjusted")
 
 
 @dataclass(frozen=True)
@@ -96,25 +88,11 @@ class WorkflowParams:
     device: DeviceOperatingPoint
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.prevalence <= 1.0:
-            raise ParameterError(f"prevalence must be in [0, 1], got {self.prevalence}")
-        if not self.mean_interarrival > 0:
-            raise ParameterError(
-                f"mean_interarrival must be > 0, got {self.mean_interarrival}"
-            )
-        if int(self.n_radiologists) != self.n_radiologists or self.n_radiologists < 1:
-            raise ParameterError(
-                f"n_radiologists must be an integer >= 1, got {self.n_radiologists}"
-            )
-        if not self.read_time_diseased > 0:
-            raise ParameterError(
-                f"read_time_diseased must be > 0, got {self.read_time_diseased}"
-            )
-        if not self.read_time_nondiseased_effective > 0:
-            raise ParameterError(
-                "read_time_nondiseased_effective must be > 0, got "
-                f"{self.read_time_nondiseased_effective}"
-            )
+        check_fields(self, share, "prevalence")
+        check_fields(self, integer, "n_radiologists", low=1)
+        check_fields(
+            self, positive, "mean_interarrival", "read_time_diseased", "read_time_nondiseased_effective"
+        )
         if self.utilization >= 1.0:
             raise InfeasibleParametersError(
                 f"utilization {self.utilization:.4f} >= 1: mean inter-arrival "
@@ -150,9 +128,9 @@ def trial_stream(master_seed: int, trial_index: int = 0) -> np.random.Generator:
 
     Streams are derived from a counter-based (Philox) generator keyed on
     (master_seed, trial_index), so trials are reproducible and independent of
-    the order in which they run.
+    the order in which they run. Each is one 64-bit word of the key, an
+    integer in [0, 2**64 - 1].
     """
-    if master_seed < 0 or trial_index < 0:
-        raise ParameterError("seed and trial index must be non-negative")
-    key = np.array([master_seed & _MASK64, trial_index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    word = 2**64 - 1
+    key = integer("master_seed", master_seed, high=word), integer("trial_index", trial_index, high=word)
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))

@@ -1,10 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the rules a scalar
+parameter value must meet.
 
-The CLI maps these onto process exit codes, so library code should raise
-the most specific type that applies.
+The CLI maps the exceptions onto process exit codes, so library code should
+raise the most specific type that applies. Each rule takes (name, value) and
+returns the value (an integer as int), or raises ParameterError("NAME must be
+RULE, got VALUE"): a ParameterTypeError if the value is not of its type.
 """
 import csv
+import math
 from contextlib import contextmanager
+from numbers import Integral, Real
 
 
 class TriageSimError(Exception):
@@ -17,6 +22,10 @@ class FormatError(TriageSimError):
 
 class ParameterError(TriageSimError, ValueError):
     """An argument is outside its valid domain (exit code 3)."""
+
+
+class ParameterTypeError(ParameterError, TypeError):
+    """An argument is of the wrong type (exit code 3, or 2 for a value read from a file)."""
 
 
 class InfeasibleParametersError(ParameterError):
@@ -40,3 +49,50 @@ def reading(path):
         raise FormatError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
     except csv.Error as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def integer(name: str, value, low: int = 0, high: int | None = None) -> int:
+    """value as an int if it is a Python or numpy integer, not a bool, in
+    [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterTypeError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low or high is not None and value > high:
+        rule = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ParameterError(f"{name} must be {rule}, got {value}")
+    return value
+
+
+def _number(name: str, value, rule: str, holds):
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ParameterTypeError(f"{name} must be {rule}, got {value!r}")
+    if not holds(value):
+        raise ParameterError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
+def share(name: str, value, interior: bool = False):
+    """value if it is a real number, not a bool, in [0, 1], or in (0, 1)
+    when interior."""
+    if interior:
+        return _number(name, value, "in (0, 1)", lambda v: 0 < v < 1)
+    return _number(name, value, "in [0, 1]", lambda v: 0 <= v <= 1)
+
+
+def positive(name: str, value):
+    """value if it is a finite real number > 0, not a bool."""
+    _number(name, value, "finite and > 0", lambda v: -math.inf < v < math.inf)
+    return _number(name, value, "> 0", lambda v: v > 0)
+
+
+def non_negative(name: str, value):
+    """value if it is a finite real number >= 0, not a bool."""
+    _number(name, value, "finite and >= 0", lambda v: -math.inf < v < math.inf)
+    return _number(name, value, ">= 0", lambda v: v >= 0)
+
+
+def check_fields(record, rule, *names: str, **bounds) -> None:
+    """Pass each named field of a frozen dataclass through rule, keeping what
+    it returns (an integer as int)."""
+    for name in names:
+        object.__setattr__(record, name, rule(name, getattr(record, name), **bounds))

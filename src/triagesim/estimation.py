@@ -30,6 +30,7 @@ import csv
 import enum
 import io
 import logging
+import re
 from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
@@ -41,7 +42,7 @@ from scipy.optimize import minimize_scalar
 
 from .config import AnalysisConfig
 from .core import Cohort, Diagnosis, ExamClass, Location, ReaderRole
-from .errors import FormatError, InsufficientDataError, ParameterError, reading
+from .errors import FormatError, InsufficientDataError, ParameterError, integer, positive, reading, share
 
 log = logging.getLogger(__name__)
 
@@ -101,6 +102,12 @@ _US = timedelta(microseconds=1)
 _US_PER_DAY = 86_400 * 10**6
 
 
+# The minutes and seconds of a zone offset at the end of a stamp. Python 3.11's
+# fromisoformat carries a value of 60 or more into the next field, reading
+# +05:60 as +06:00.
+_OFFSET = re.compile(r"[+-]\d\d:?(\d\d)(?::?(\d\d))?(?:\.\d+)?\s*$")
+
+
 def _parse_timestamp(raw: str) -> datetime:
     try:
         parsed = datetime.fromisoformat(raw)
@@ -108,6 +115,9 @@ def _parse_timestamp(raw: str) -> datetime:
         parsed = datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
     if parsed.tzinfo is None:
         raise ValueError(f"timestamp {raw!r} has no zone offset")
+    offset = _OFFSET.search(raw)
+    if offset and max(int(field or 0) for field in offset.groups()) >= 60:
+        raise ValueError(f"timestamp {raw!r} has a zone offset field of 60 or more")
     return parsed
 
 
@@ -470,8 +480,7 @@ def fit_exponential_histogram(
     values = np.asarray(gaps, dtype=float)
     if values.size < 2:
         raise InsufficientDataError(f"need at least 2 gaps to fit, got {values.size}")
-    if bin_width <= 0:
-        raise ParameterError(f"bin width must be > 0, got {bin_width}")
+    positive("bin_width", bin_width)
     if values.min() < 0:
         raise ParameterError(f"gaps must be >= 0, got {values.min()}")
     n = values.size
@@ -736,9 +745,7 @@ def effective_nondiseased_read_time(
     mean_npp: float, mean_ncct: float, n_npp: int, n_ncct: int
 ) -> float:
     """Count-weighted mean read time across the two non-diseased populations."""
-    if n_npp < 0 or n_ncct < 0:
-        raise ParameterError("counts must be >= 0")
-    if n_npp + n_ncct == 0:
+    if integer("n_npp", n_npp) + integer("n_ncct", n_ncct) == 0:
         raise ParameterError("at least one population must be non-empty")
     return (n_npp * mean_npp + n_ncct * mean_ncct) / (n_npp + n_ncct)
 
@@ -750,21 +757,14 @@ def adjusted_fpf(specificity: float, n_ncct: int, n_npp: int) -> float:
     queue also holds exams the device never analyzes, the effective FPF is
     (1 - specificity) / (1 + n_ncct / n_npp).
     """
-    if not 0.0 <= specificity <= 1.0:
-        raise ParameterError(f"specificity must be in [0, 1], got {specificity}")
-    if n_npp <= 0:
-        raise ParameterError(f"n_npp must be > 0, got {n_npp}")
-    if n_ncct < 0:
-        raise ParameterError(f"n_ncct must be >= 0, got {n_ncct}")
+    share("specificity", specificity)
+    integer("n_npp", n_npp, low=1)
+    integer("n_ncct", n_ncct)
     return (1.0 - specificity) / (1.0 + n_ncct / n_npp)
 
 
 def queue_prevalence(n_diseased: int, n_queue_total: int) -> float:
     """Fraction of diseased exams among everything in the reading queue."""
-    if n_queue_total <= 0:
-        raise ParameterError(f"n_queue_total must be > 0, got {n_queue_total}")
-    if not 0 <= n_diseased <= n_queue_total:
-        raise ParameterError(
-            f"n_diseased must be in [0, {n_queue_total}], got {n_diseased}"
-        )
+    n_queue_total = integer("n_queue_total", n_queue_total, low=1)
+    integer("n_diseased", n_diseased, high=n_queue_total)
     return n_diseased / n_queue_total

@@ -8,11 +8,10 @@ rate, which is how the simulator-agreement checks are set up.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import QueueDiscipline, WorkflowParams
-from .errors import InfeasibleParametersError, ParameterError
+from .errors import InfeasibleParametersError, ParameterError, check_fields, integer, non_negative, positive
 
 
 def erlang_c(c: int, offered_load: float) -> float:
@@ -21,11 +20,8 @@ def erlang_c(c: int, offered_load: float) -> float:
     Uses the stable Erlang-B recurrence rather than factorials, so large
     server counts are fine.
     """
-    if int(c) != c or c < 1:
-        raise ParameterError(f"server count must be an integer >= 1, got {c}")
-    if offered_load < 0:
-        raise ParameterError(f"offered load must be >= 0, got {offered_load}")
-    if offered_load == 0.0:
+    c = integer("c", c, low=1)
+    if non_negative("offered_load", offered_load) == 0.0:
         return 0.0
     rho = offered_load / c
     if rho >= 1.0:
@@ -33,16 +29,16 @@ def erlang_c(c: int, offered_load: float) -> float:
             f"offered load {offered_load} >= {c} servers: no steady state"
         )
     b = 1.0
-    for k in range(1, int(c) + 1):
+    for k in range(1, c + 1):
         b = offered_load * b / (k + offered_load * b)
     return b / (1.0 - rho * (1.0 - b))
 
 
 def mmc_fifo_wait(lam: float, mu: float, c: int) -> float:
     """Mean queueing wait Wq (minutes) for M/M/c under FIFO."""
-    if lam < 0 or mu <= 0:
-        raise ParameterError("need lam >= 0 and mu > 0")
-    if lam == 0.0:
+    integer("c", c, low=1)
+    positive("mu", mu)
+    if non_negative("lam", lam) == 0.0:
         return 0.0
     return erlang_c(c, lam / mu) / (c * mu - lam)
 
@@ -61,12 +57,10 @@ class PriorityLoad:
     def __post_init__(self) -> None:
         if not self.arrival_rates:
             raise ParameterError("at least one class is required")
-        if not all(0 <= lam < math.inf for lam in self.arrival_rates):
-            raise ParameterError("arrival rates must be finite and >= 0")
-        if not 0 < self.service_rate < math.inf:
-            raise ParameterError("service rate must be finite and > 0")
-        if int(self.servers) != self.servers or self.servers < 1:
-            raise ParameterError("server count must be an integer >= 1")
+        for k, lam in enumerate(self.arrival_rates):
+            non_negative(f"arrival_rates[{k}]", lam)
+        check_fields(self, positive, "service_rate")
+        check_fields(self, integer, "servers", low=1)
         total = sum(self.arrival_rates)
         if total / (self.servers * self.service_rate) >= 1.0:
             raise InfeasibleParametersError(
@@ -139,8 +133,7 @@ def analytic_time_savings(
     against the FIFO wait. The class waits are Cobham's for AI_PRIORITY and
     the preemptive-resume waits for AI_PRIORITY_PREEMPTIVE.
     """
-    if equal_service_mean <= 0:
-        raise ParameterError("equal_service_mean must be > 0")
+    positive("equal_service_mean", equal_service_mean)
     if discipline is QueueDiscipline.FIFO:
         raise ParameterError("discipline must be a priority discipline")
     lam = 1.0 / params.mean_interarrival

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .core import DeviceOperatingPoint, WorkflowParams
-from .errors import FormatError, ParameterError, reading
+from .errors import FormatError, ParameterError, ParameterTypeError, positive, reading, share
 
 SCHEMA_VERSION = 1
 # The dotted names of the fields estimate fills, each listed under "missing"
@@ -92,14 +92,21 @@ def missing_fields(doc: dict) -> list[str]:
     return sorted(missing)
 
 
-def _require(doc: dict, dotted: str):
-    node = _lookup(doc, dotted)
-    if node is None:
+def read_value(doc: dict, dotted: str, rule, required: bool = True):
+    """The value at a dotted key passed through a scalar rule of
+    triagesim.errors under that name. A value of the wrong type is a
+    FormatError, one out of range a ParameterError; a null or absent one is
+    a ParameterError if required, else None."""
+    value = _lookup(doc, dotted)
+    if value is None and required:
         raise ParameterError(
             f"parameter file is missing {dotted!r}; re-run estimate with the "
             "inputs that produce it"
         )
-    return node
+    try:
+        return None if value is None else rule(dotted, value)
+    except ParameterTypeError as exc:
+        raise FormatError(f"parameter file: {exc}") from exc
 
 
 def workflow_params_from_doc(
@@ -108,16 +115,14 @@ def workflow_params_from_doc(
     """Build simulation parameters from a parameter document plus the two
     swept quantities (inter-arrival mean and radiologist count)."""
     device = DeviceOperatingPoint(
-        tpf=float(_require(doc, "device.tpf")),
-        fpf_adjusted=float(_require(doc, "device.fpf_adjusted")),
+        tpf=read_value(doc, "device.tpf", share),
+        fpf_adjusted=read_value(doc, "device.fpf_adjusted", share),
     )
     return WorkflowParams(
-        prevalence=float(_require(doc, "prevalence")),
+        prevalence=read_value(doc, "prevalence", share),
         mean_interarrival=mean_interarrival,
         n_radiologists=n_radiologists,
-        read_time_diseased=float(_require(doc, "read_time_diseased")),
-        read_time_nondiseased_effective=float(
-            _require(doc, "effective_nondiseased_read_time")
-        ),
+        read_time_diseased=read_value(doc, "read_time_diseased", positive),
+        read_time_nondiseased_effective=read_value(doc, "effective_nondiseased_read_time", positive),
         device=device,
     )

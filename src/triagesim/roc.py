@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from scipy.special import ndtr, ndtri
 
-from .errors import ParameterError
+from .errors import check_fields, integer, positive, share
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,7 @@ class BinormalRoc:
     b: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.b > 0:
-            raise ParameterError(f"slope b must be > 0, got {self.b}")
+        check_fields(self, positive, "b")
 
 
 def fit_from_point(tpf: float, fpf: float, slope: float = 1.0) -> BinormalRoc:
@@ -35,19 +34,15 @@ def fit_from_point(tpf: float, fpf: float, slope: float = 1.0) -> BinormalRoc:
     a = PhiInv(tpf) - b * PhiInv(fpf) and the curve passes through the point
     exactly.
     """
-    if not 0.0 < tpf < 1.0 or not 0.0 < fpf < 1.0:
-        raise ParameterError(
-            f"operating point must be interior to (0, 1)^2, got ({fpf}, {tpf})"
-        )
-    a = float(ndtri(tpf) - slope * ndtri(fpf))
+    share("tpf", tpf, interior=True)
+    share("fpf", fpf, interior=True)
+    a = float(ndtri(tpf) - positive("slope", slope) * ndtri(fpf))
     return BinormalRoc(a=a, b=slope)
 
 
 def roc_tpf(curve: BinormalRoc, fpf: float) -> float:
     """TPF at a given FPF; endpoints map 0 -> 0 and 1 -> 1 by continuity."""
-    if fpf < 0.0 or fpf > 1.0:
-        raise ParameterError(f"fpf must be in [0, 1], got {fpf}")
-    if fpf == 0.0:
+    if share("fpf", fpf) == 0.0:
         return 0.0
     if fpf == 1.0:
         return 1.0
@@ -61,8 +56,7 @@ def auc(curve: BinormalRoc) -> float:
 
 def sample_operating_points(curve: BinormalRoc, n: int) -> list[tuple[float, float]]:
     """n (fpf, tpf) points with FPF uniformly spaced on [0, 1] inclusive."""
-    if n < 2:
-        raise ParameterError(f"need at least 2 points, got {n}")
+    n = integer("n", n, low=2)
     points = []
     for k in range(n):
         fpf = k / (n - 1)

@@ -44,7 +44,7 @@ from itertools import chain, compress
 import numpy as np
 
 from .core import QueueDiscipline, WorkflowParams, trial_stream
-from .errors import ParameterError
+from .errors import ParameterError, integer
 
 
 def _serve(arrival, service, flagged, n_servers, preempt):
@@ -145,8 +145,7 @@ def generate_stream(
 ) -> PatientStream:
     """Draw one complete patient stream of Poisson arrivals with labels,
     flags, and label-dependent exponential service durations."""
-    if n_patients < 1:
-        raise ParameterError(f"n_patients must be >= 1, got {n_patients}")
+    n_patients = integer("n_patients", n_patients, low=1)
     gaps = rng.exponential(params.mean_interarrival, n_patients)
     arrival = np.cumsum(gaps)
     diseased = rng.random(n_patients) < params.prevalence
@@ -208,10 +207,7 @@ def replay_stream(
     arrays have one length, arrivals are finite and nondecreasing and every
     read time is finite and >= 0.
     """
-    servers = np.asarray(n_servers)
-    kind = servers.dtype.kind
-    if servers.ndim or kind not in "iuf" or not 1 <= servers < math.inf or servers % 1:
-        raise ParameterError(f"n_servers must be an integer >= 1, got {n_servers!r}")
+    n_servers = integer("n_servers", n_servers, low=1)
     arrival = np.ascontiguousarray(stream.arrival, np.float64)
     service = np.ascontiguousarray(stream.service, np.float64)
     flagged = np.ascontiguousarray(stream.flagged, np.bool_)
@@ -225,7 +221,7 @@ def replay_stream(
     if discipline is QueueDiscipline.FIFO:
         flagged = np.zeros_like(flagged)
     preempt = discipline is QueueDiscipline.AI_PRIORITY_PREEMPTIVE
-    start, suspended = _serve(arrival, service, flagged, int(servers), preempt)
+    start, suspended = _serve(arrival, service, flagged, n_servers, preempt)
     return ExamOutcomes(
         stream.arrival, start, stream.service, stream.diseased, stream.flagged, suspended
     )
@@ -281,12 +277,10 @@ def run_replications(
     at top level must put the call under ``if __name__ == "__main__":``,
     since each worker imports the caller's main module again.
     """
-    if n_trials < 2:
-        raise ParameterError(f"n_trials must be >= 2, got {n_trials}")
-    if not 0 <= burn_in < n_patients:
-        raise ParameterError(f"burn_in must be in [0, n_patients={n_patients}), got {burn_in}")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+    n_trials = integer("n_trials", n_trials, low=2)
+    n_patients = integer("n_patients", n_patients, low=1)
+    burn_in = integer("burn_in", burn_in, high=n_patients - 1)
+    workers = integer("workers", workers, low=1)
     if workers > 1 and "forkserver" not in multiprocessing.get_all_start_methods():
         raise ParameterError(
             f"workers={workers} needs the forkserver start method, which this "

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtr, stdtrit
 
 from .errors import InsufficientDataError
 
@@ -25,7 +25,7 @@ def tat_summary(tats: Sequence[float]) -> TatSummary:
         raise InsufficientDataError(f"need >= 2 values, got {values.size}")
     n = values.size
     mean = float(values.mean())
-    half = float(sps.t.ppf(0.975, n - 1) * values.std(ddof=1) / np.sqrt(n))
+    half = float(stdtrit(n - 1, 0.975) * values.std(ddof=1) / np.sqrt(n))
     p_lo, p_md, p_hi = np.percentile(values, [2.5, 50.0, 97.5])
     return TatSummary(
         n=n,
@@ -60,6 +60,6 @@ def time_savings_test(pre: Sequence[float], post: Sequence[float]) -> WelchResul
         p = 0.5 if diff == 0.0 else (0.0 if diff > 0.0 else 1.0)
         return WelchResult(diff, (diff, diff), p, float(a.size + b.size - 2))
     dof = (va + vb) ** 2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
-    half = float(sps.t.ppf(0.975, dof) * se)
-    p_one = float(sps.t.sf(diff / se, dof))
+    half = float(stdtrit(dof, 0.975) * se)
+    p_one = float(stdtr(dof, -diff / se))
     return WelchResult(diff, (diff - half, diff + half), p_one, float(dof))

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ExamClass, trial_stream
-from .errors import ParameterError
+from .errors import ParameterError, check_fields, integer, positive, share
 from .estimation import CLOSURE_LOG_COLUMNS, EXAM_LOG_COLUMNS
 
 _US_PER_MINUTE = 60_000_000
@@ -70,34 +70,20 @@ class SyntheticSpec:
     n_thin_reader_days: int = 2
 
     def __post_init__(self) -> None:
-        at_least_one = ("n_days", "n_residents", "n_staff")
-        non_negative = (
-            "readers_per_day", "closures_per_reader_day", "n_negative_tat", "n_duplicate_closures",
-            "n_thin_reader_days",
+        # Counts are stored as int: json cannot write a numpy integer.
+        check_fields(self, integer, "n_days", "n_residents", "n_staff", low=1)
+        check_fields(
+            self, integer, "seed", "readers_per_day", "closures_per_reader_day", "n_negative_tat",
+            "n_duplicate_closures", "n_thin_reader_days",
         )
-        for name in ("seed", *at_least_one, *non_negative, "boundary_day"):
-            value = getattr(self, name)
-            if value is None and name == "boundary_day":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # json cannot write a numpy integer
-        for names, valid, rule in (
-            (at_least_one, lambda v: v >= 1, "at least 1"),
-            (non_negative, lambda v: v >= 0, "non-negative"),
-            (("positive_rate", "indeterminate_rate", "break_probability"), lambda v: 0 <= v <= 1, "in [0, 1]"),
-            # A zero mean would never move the arrival clock forward.
-            (
-                ("work_interarrival", "off_interarrival", "read_mean_pe", "read_mean_npp", "read_mean_ncct",
-                 "tat_mean_pre", "tat_mean_post"),
-                lambda v: 0 < v < math.inf,
-                "finite and positive",
-            ),
-        ):
-            for name in names:
-                value = getattr(self, name)
-                if not valid(value):
-                    raise ParameterError(f"{name} must be {rule}, got {value}")
+        if self.boundary_day is not None:
+            check_fields(self, integer, "boundary_day")
+        check_fields(self, share, "positive_rate", "indeterminate_rate", "break_probability")
+        # A zero mean would never move the arrival clock forward.
+        check_fields(
+            self, positive, "work_interarrival", "off_interarrival", "read_mean_pe", "read_mean_npp",
+            "read_mean_ncct", "tat_mean_pre", "tat_mean_post",
+        )
         if self.positive_rate + self.indeterminate_rate > 1:
             raise ParameterError(
                 f"positive_rate + indeterminate_rate must be at most 1, "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from typing import Iterable, Mapping
@@ -76,6 +77,10 @@ def _parse_timestamp(raw: str) -> datetime:
     parsed = datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
     if parsed.tzinfo is None:
         raise ValueError(f"timestamp {raw!r} has no zone offset")
+    # fromisoformat on Python 3.11 reads an offset of +05:60 as +06:00.
+    offset = re.search(r"[+-]\d\d:?(\d\d)(?::?(\d\d))?(?:\.\d+)?\s*$", raw)
+    if offset and max(int(field or 0) for field in offset.groups()) >= 60:
+        raise ValueError(f"timestamp {raw!r} has a zone offset field of 60 or more")
     return parsed
 
 

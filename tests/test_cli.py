@@ -239,16 +239,53 @@ def test_out_naming_a_file_exits_2(corpus, tmp_path, caplog, command):
         ["compare", "--exam-log", "exam.csv", "--seed", "1"],
         ["compare", "--exam-log", "exam.csv", "--quick"],
         ["oracle", "--arrival-rates", "0.1", "--service-rate", "0.2", "--servers", "1", "--quick"],
+        ["sweep", "--params", "params.json", "--config", "config.yaml"],
+        ["oracle", "--arrival-rates", "0.1", "--service-rate", "0.2", "--servers", "1", "--config", "config.yaml"],
     ],
     ids=" ".join,
 )
 def test_flag_the_command_never_reads_exits_2(tmp_path, capsys, argv):
     # Only sweep and roc-sweep read --seed and --quick; oracle reads --seed.
+    # Only estimate, compare and roc-sweep read --config.
     with pytest.raises(SystemExit) as exit_info:
         cli.main([*argv, "--out", str(tmp_path)])
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, dotted, value",
+    [
+        ("sweep", "prevalence", "abc"),
+        ("sweep", "prevalence", [0.003]),
+        ("sweep", "prevalence", "0.003"),
+        ("sweep", "prevalence", True),
+        ("sweep", "device.tpf", {"value": 0.9}),
+        ("sweep", "read_time_diseased", "12"),
+        ("roc-sweep", "interarrival.work.mean", "x"),
+        ("roc-sweep", "counts.n_non_chest_ct", 12.5),
+    ],
+)
+def test_params_value_of_the_wrong_type_exits_2(params_file, tmp_path, caplog, command, dotted, value):
+    # Such values once ended in a ValueError or TypeError traceback, or were
+    # read as numbers: "0.003" as 0.003 and true as 1.0.
+    doc = json.loads(params_file.read_text())
+    *path, key = dotted.split(".")
+    node = doc
+    for part in path:
+        node = node[part]
+    node[key] = value
+    bad = tmp_path / "params.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [command, "--params", str(bad), "--trials", "2", "--patients", "500", "--out", str(out)]
+    argv += ["--interarrival", "14"] if command == "sweep" else ["--points", "2"]
+    argv += ["--radiologists", "6"]
+    assert cli.main(argv) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and f"{dotted} must be" in errors[0], errors
+    assert list(out.iterdir()) == []
 
 
 class TestSweep:
@@ -321,6 +358,22 @@ class TestSweep:
     def test_workers_below_one_exits_3(self, params_file, tmp_path, caplog, workers):
         assert self.run_sweep(params_file, tmp_path, extra=("--workers", workers)) == 3
         assert f"workers must be >= 1, got {workers}" in caplog.text
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("seed", [str(2**64), str(2**64 + 7), "-1"])
+    def test_seed_outside_64_bits_exits_3(self, params_file, tmp_path, caplog, seed):
+        # The seed was masked to 64 bits: --seed 2**64 replayed seed 0's
+        # streams while sweep_meta.json recorded 2**64.
+        assert self.run_sweep(params_file, tmp_path, extra=("--seed", seed)) == 3
+        assert f"master_seed must be in [0, {2**64 - 1}], got {seed}" in caplog.text
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_infinite_interarrival_exits_3(self, params_file, tmp_path, caplog):
+        # An infinite mean gave utilisation 0 and then failed in replay_stream
+        # with "arrival times must be finite and nondecreasing".
+        argv = ["sweep", "--params", str(params_file), "--interarrival", "inf", "--trials", "2", "--patients", "500"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 3
+        assert "mean_interarrival must be finite and > 0, got inf" in caplog.text
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_all_infeasible_exits_3(self, params_file, tmp_path):

@@ -343,6 +343,8 @@ STAMP_CASES = {
     "offset+24:00": "2024-03-04T10:00:00.123456+24:00",
     "offset-00:00": "2024-03-04T10:00:00.123456-00:00",
     "offset-minute-60": "2024-03-04T10:00:00.123456+05:60",
+    "offset-minute-61": "2024-03-04T10:00:00.123456+22:61",
+    "offset-minute-99": "2024-03-04T10:00:00.123456-10:99",
     "no-fraction": "2024-03-04T10:00:00-05:00",
     "Z": "2024-03-04T10:00:00.123456Z",
     "space-separator": "2024-03-04 10:00:00.123456-05:00",
@@ -377,6 +379,12 @@ def test_bulk_stamps_agree_with_row_parser(tmp_path, caplog, case):
     new, ref = ingest_both(ingest_closure_log, reference.ingest_closure_log, path, caplog)
     assert_closure_columns_equal(new, ref)
     assert new.n_rows == 4
+    if case.startswith("offset-minute-"):
+        # fromisoformat on Python 3.11 would read +05:60 as +06:00.
+        assert new.n_malformed == 2
+        assert f"line 3: skipping malformed row (timestamp {stamp!r} has a zone offset field of 60 or more)" in (
+            warnings_from(caplog, "triagesim.estimation")[0]
+        )
 
 
 @pytest.mark.parametrize("case", NUMPY_REJECTS)

@@ -7,6 +7,7 @@ the device's reported operating point.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from datetime import date, datetime, time
 from types import UnionType
@@ -39,10 +40,11 @@ def _parse_date(value) -> date:
         return value.date()
     if isinstance(value, date):
         return value
+    match = re.fullmatch(r"([0-9]{4})-([0-9]{2})-([0-9]{2})", str(value))
     try:
-        return date.fromisoformat(str(value))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse date {value!r}") from exc
+        return date(*map(int, match.groups()))
+    except (AttributeError, ValueError):  # no match, or no such date
+        raise ValueError(f"cannot parse date {value!r}") from None
 
 
 class _Loader(yaml.SafeLoader):

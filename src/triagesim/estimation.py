@@ -11,10 +11,10 @@ Two logs drive everything:
 
 Both logs are read by _Rows, the one definition of a valid row and of
 every warning. It reads a chunk of text at a time, parses it column by
-column (timestamps in the shape isoformat() writes by numpy, tokens through
-one cache per enum), parses the rows that step cannot take one cell at a
-time, and yields the valid rows only. Each ingest function adds only its
-own log's rules.
+column (timestamps by numpy, after any in another shape of the one grammar
+are rewritten into the shape isoformat() writes; tokens through one cache
+per enum), and yields the valid rows only. Each ingest function adds only
+its own log's rules.
 
 Distribution means are estimated by least-squares fits of a * exp(-t / m) to
 density-normalized gap histograms, with the amplitude a in closed form and
@@ -25,7 +25,6 @@ shape; the sample mean is carried alongside for comparison.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import enum
 import io
@@ -33,8 +32,8 @@ import logging
 import re
 from array import array
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta, timezone
-from itertools import chain, compress, repeat
+from datetime import date, datetime
+from itertools import chain, compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -96,29 +95,8 @@ class ClosureLogIngest:
     n_rows: int
 
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_EPOCH_ORDINAL = _EPOCH.toordinal()
-_US = timedelta(microseconds=1)
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _US_PER_DAY = 86_400 * 10**6
-
-
-# The minutes and seconds of a zone offset at the end of a stamp. Python 3.11's
-# fromisoformat carries a value of 60 or more into the next field, reading
-# +05:60 as +06:00.
-_OFFSET = re.compile(r"[+-]\d\d:?(\d\d)(?::?(\d\d))?(?:\.\d+)?\s*$")
-
-
-def _parse_timestamp(raw: str) -> datetime:
-    try:
-        parsed = datetime.fromisoformat(raw)
-    except ValueError:
-        parsed = datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
-    if parsed.tzinfo is None:
-        raise ValueError(f"timestamp {raw!r} has no zone offset")
-    offset = _OFFSET.search(raw)
-    if offset and max(int(field or 0) for field in offset.groups()) >= 60:
-        raise ValueError(f"timestamp {raw!r} has a zone offset field of 60 or more")
-    return parsed
 
 
 # The one stamp shape parsed in bulk: what isoformat() writes for an aware
@@ -131,25 +109,50 @@ _SIGN = _STAMP.replace("0", "").index("+")
 # days in each month of a common year (months 0 and 13 have none).
 _FIELD_ENDS = np.array([100, 100, 13, 32, 24, 60, 60, 100, 100, 100, 24, 60], dtype=np.uint32)
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
+# Every other shape a stamp may take: padded, a space for the T, no seconds,
+# a fraction of 1-6 digits, Z for +00:00. _rewritten turns it into _STAMP.
+_GRAMMAR = re.compile(
+    r"\s*([0-9]{4}-[0-9]{2}-[0-9]{2})[T ]([0-9]{2}:[0-9]{2})"
+    r"(?::([0-9]{2})(?:\.([0-9]{1,6}))?)?(Z|[+-][0-9]{2}:[0-9]{2})\s*"
+)
+_GRAMMAR_TEXT = "YYYY-MM-DD(T| )HH:MM[:SS[.ffffff]](Z|+HH:MM|-HH:MM)"
 
 
-def _stamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Wall-clock and UTC microseconds of each cell, and whether it was parsed
-    in bulk: it has the _STAMP shape and names a date that exists in a year
-    other than 0000, a time of day before 24:00 and an offset below 24:00.
-    Should numpy still reject a cell, none counts as parsed. Other cells'
-    times are meaningless."""
-    text = np.array(cells, dtype=str)
-    ok = np.ones(text.size, dtype=bool)
-    if text.dtype.itemsize != 4 * len(_STAMP):
-        ok = np.fromiter(map(len, cells), np.intp, text.size) == len(_STAMP)
-        text = text.astype(f"U{len(_STAMP)}")
-    code = text.view(np.uint32).reshape(-1, len(_STAMP))
+def _rewritten(cell: str) -> str:
+    """cell in the _STAMP shape if it matches _GRAMMAR, else ""."""
+    if match := _GRAMMAR.fullmatch(cell):
+        day, minute, second, fraction, offset = match.groups("")
+        return f"{day}T{minute}:{second or '00'}.{fraction:0<6}{offset.replace('Z', '+00:00')}"
+    return ""
+
+
+def _shape(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The digits of each _STAMP-wide row of code points, whether its offset
+    is negative, and whether it has the _STAMP shape."""
     digits = code[:, _DIGIT] - ord("0")  # unsigned: a code below "0" wraps high
     separators = code[:, ~_DIGIT]
     minus = separators[:, _SIGN] == ord("-")
     separators[minus, _SIGN] = ord("+")
-    ok &= (digits <= 9).all(1) & (separators == _SEPARATORS).all(1)
+    return digits, minus, (digits <= 9).all(1) & (separators == _SEPARATORS).all(1)
+
+
+def _stamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wall-clock and UTC microseconds of each cell, and whether it is a
+    valid stamp: it matches _GRAMMAR (cells without the _STAMP shape are
+    rewritten into it first) and names a date that exists in a year other
+    than 0000, a time of day before 24:00 and an offset below 24:00. Should
+    numpy still reject a cell, none is valid. Other cells' times are
+    meaningless."""
+    text = np.array(cells, dtype=str)
+    if text.dtype.itemsize != 4 * len(_STAMP):
+        # Some cell is of another length: rewrite those as the column is built.
+        text = np.array([c if len(c) == len(_STAMP) else _rewritten(c) for c in cells], f"U{len(_STAMP)}")
+    code = text.view(np.uint32).reshape(-1, len(_STAMP))
+    digits, minus, ok = _shape(code)
+    if not ok.all():
+        odd = np.flatnonzero(~ok)
+        text[odd] = [_rewritten(cells[i]) for i in odd.tolist()]
+        digits, minus, ok = _shape(code)
     # The two-digit fields, meaningless where not ok: century, year, month,
     # day, hour, minute, second, the fraction's three and the offset's two.
     fields = digits[:, ::2] * 10 + digits[:, 1::2]
@@ -179,8 +182,8 @@ _ALIASES = {"l1fellow": ReaderRole.FELLOW, "emergencydepartment": Location.ED}
 
 class _Tokens(dict):
     """Raw cell -> index in members of the member it names, matched on its
-    value or an alias after _normalize_token; each distinct raw string is
-    normalised once, and an unknown one raises ValueError."""
+    value or an alias after _normalize_token, or -1 if it names none; each
+    distinct raw string is normalised once."""
 
     def __init__(self, members: type[enum.Enum], what: str):
         super().__init__()
@@ -190,20 +193,13 @@ class _Tokens(dict):
         self.tokens.update((t, self.members.index(m)) for t, m in aliases)
         self.what = what
 
-    def __missing__(self, raw: str):
-        try:
-            code = self.tokens[_normalize_token(raw)]
-        except KeyError:
-            raise ValueError(f"unknown {self.what} {raw!r}") from None
-        self[raw] = code
+    def __missing__(self, raw: str) -> int:
+        code = self[raw] = self.tokens.get(_normalize_token(raw), -1)
         return code
 
     def codes(self, cells: Sequence[str]) -> np.ndarray:
         """The index of each cell, or -1 where it names no member."""
-        for raw in set(cells).difference(self):
-            with contextlib.suppress(ValueError):
-                self[raw]
-        return np.fromiter(map(self.get, cells, repeat(-1)), np.int64, len(cells))
+        return np.fromiter(map(self.__getitem__, cells), np.int64, len(cells))
 
 
 def _repeated(ids: list[str], seen: set[str]) -> np.ndarray:
@@ -229,12 +225,11 @@ class _Rows:
     array of wall-clock and UTC int64 microseconds) or a _Tokens (member
     indexes). An empty file has no rows, a wrong header is fatal and a
     leading UTF-8 byte-order mark is ignored. Each chunk, about CHUNK_CHARS
-    characters cut at a record end, is parsed by _stamps and _Tokens.codes;
-    a row they cannot take is parsed a cell at a time in column order, so
-    the first cell that fails names the fault. A row with the wrong cell
-    count or a failing cell is skipped: uncounted if all blank, else logged
-    as malformed with the file line on which it starts. n_rows counts the
-    non-blank rows.
+    characters cut at a record end, is parsed by _stamps and _Tokens.codes.
+    A row with the wrong cell count or a cell they reject is skipped:
+    uncounted if all blank, else logged as malformed with the file line on
+    which it starts and its first failing cell in column order. n_rows
+    counts the non-blank rows.
     """
 
     def __init__(self, path, columns: tuple[str, ...], kinds: tuple):
@@ -293,43 +288,40 @@ class _Rows:
 
     def _valid(self, rows, columns: list[Sequence[str]], starts) -> list:
         """The chunk's valid rows, one entry per column."""
-        ok = np.ones(len(columns[0]), dtype=bool)
-        parsed = []
-        for kind, cells in zip(self.kinds, columns):
+        parsed, valid = [], {}  # column -> which of its cells are valid
+        for j, (kind, cells) in enumerate(zip(self.kinds, columns)):
             if kind is str:
                 parsed.append(cells)
             elif kind is datetime:
-                wall, utc, bulk = _stamps(cells)
+                wall, utc, valid[j] = _stamps(cells)
                 parsed.append(np.stack([wall, utc]))
-                ok &= bulk
             else:
                 parsed.append(kind.codes(cells))
-                ok &= parsed[-1] >= 0
+                valid[j] = parsed[-1] >= 0
+        ok = np.logical_and.reduce(list(valid.values()))
         self.n_rows += ok.size
         for i in np.flatnonzero(~ok).tolist():
             row = rows[i] if rows is not None else [c[i] for c in columns]
-            try:
-                if len(row) != len(self.kinds):
-                    raise ValueError(f"expected {len(self.kinds)} fields, found {len(row)}")
-                for kind, cell, column in zip(self.kinds, row, parsed):
-                    if kind is datetime:
-                        t = _parse_timestamp(cell)
-                        utc = (t - _EPOCH) // _US
-                        column[:, i] = utc + t.utcoffset() // _US, utc
-                    elif kind is not str:
-                        column[i] = kind[cell]
-            except ValueError as exc:
-                if not any(cell.strip() for cell in row):
-                    self.n_rows -= 1
-                    continue
-                log.warning("%s line %d: skipping malformed row (%s)", self.path, starts[i], exc)
-                self.n_malformed += 1
-            else:
-                ok[i] = True
+            if not any(cell.strip() for cell in row):
+                self.n_rows -= 1
+                continue
+            fault = self._fault(row, i, valid)
+            log.warning("%s line %d: skipping malformed row (%s)", self.path, starts[i], fault)
+            self.n_malformed += 1
         if ok.all():
             return parsed
         keep = ok.tolist()
         return [list(compress(c, keep)) if kind is str else c[..., ok] for kind, c in zip(self.kinds, parsed)]
+
+    def _fault(self, row, i: int, valid: dict) -> str:
+        """Why row i of a chunk, whose cells are row, is malformed: its cell
+        count, or its first cell in column order that valid marks false."""
+        if len(row) != len(self.kinds):
+            return f"expected {len(self.kinds)} fields, found {len(row)}"
+        j = next(j for j, column in valid.items() if not column[i])
+        if self.kinds[j] is not datetime:
+            return f"unknown {self.kinds[j].what} {row[j]!r}"
+        return f"timestamp {row[j]!r} is not a valid time {_GRAMMAR_TEXT}"
 
 
 def ingest_exam_log(path) -> ExamLogIngest:

@@ -76,10 +76,13 @@ def load_parameters(path) -> dict:
 
 
 def _lookup(doc: dict, dotted: str):
-    node = doc
-    for part in dotted.split("."):
-        node = node.get(part) if isinstance(node, dict) else None
-    return node
+    """The value at a dotted key; None if it or a node on its path is null
+    or absent, a FormatError if such a node is not a JSON object."""
+    path, _, key = dotted.rpartition(".")
+    node = _lookup(doc, path) if path else doc
+    if node is not None and not isinstance(node, dict):
+        raise FormatError(f"parameter file: {path} must be a JSON object, got {node!r}")
+    return None if node is None else node.get(key)
 
 
 def missing_fields(doc: dict) -> list[str]:
@@ -94,9 +97,10 @@ def missing_fields(doc: dict) -> list[str]:
 
 def read_value(doc: dict, dotted: str, rule, required: bool = True):
     """The value at a dotted key passed through a scalar rule of
-    triagesim.errors under that name. A value of the wrong type is a
-    FormatError, one out of range a ParameterError; a null or absent one is
-    a ParameterError if required, else None."""
+    triagesim.errors under that name. A value of the wrong type, or a node
+    on its path that is not a JSON object, is a FormatError, one out of
+    range a ParameterError; a null or absent one is a ParameterError if
+    required, else None."""
     value = _lookup(doc, dotted)
     if value is None and required:
         raise ParameterError(

@@ -1,7 +1,9 @@
 """Test-only reference: the per-row log ingest, cohort assignment, daily
 inter-arrival fits and read-time estimation that the program used before
 its column-wise ingest, kept verbatim so the new code can be checked
-against them value for value.
+against them value for value. Only the timestamp parser is newer: it reads
+the one timestamp grammar with a regular expression and datetime's own
+constructors, the same on every Python version.
 
 They build one frozen record per row and one datetime per timestamp, so
 they are slow; tests call them on short logs. The two converters at the
@@ -73,15 +75,38 @@ class ClosureLogIngest:
     n_rows: int
 
 
+# The timestamp grammar, written out apart from the program's: padding, a T
+# or a space between date and time, seconds optional, a fraction of 1-6
+# digits only after them, and Z or a sign with hours and minutes.
+_TIMESTAMP = re.compile(
+    r"(\d{4})-(\d\d)-(\d\d)[T ](\d\d):(\d\d)(?::(\d\d)(?:\.(\d{1,6}))?)?(Z|([+-])(\d\d):(\d\d))",
+    re.ASCII,
+)
+
+
 def _parse_timestamp(raw: str) -> datetime:
-    parsed = datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
-    if parsed.tzinfo is None:
-        raise ValueError(f"timestamp {raw!r} has no zone offset")
-    # fromisoformat on Python 3.11 reads an offset of +05:60 as +06:00.
-    offset = re.search(r"[+-]\d\d:?(\d\d)(?::?(\d\d))?(?:\.\d+)?\s*$", raw)
-    if offset and max(int(field or 0) for field in offset.groups()) >= 60:
-        raise ValueError(f"timestamp {raw!r} has a zone offset field of 60 or more")
-    return parsed
+    try:
+        match = _TIMESTAMP.fullmatch(raw.strip())
+        if match is None:
+            raise ValueError
+        year, month, day, hour, minute, second, fraction, _, sign, zone_h, zone_m = match.groups()
+        if zone_m and int(zone_m) >= 60:
+            raise ValueError
+        zone = timedelta(hours=int(zone_h or 0), minutes=int(zone_m or 0))
+        return datetime(
+            int(year),
+            int(month),
+            int(day),
+            int(hour),
+            int(minute),
+            int(second or 0),
+            int((fraction or "").ljust(6, "0")),
+            tzinfo=timezone(-zone if sign == "-" else zone),
+        )
+    except ValueError:
+        raise ValueError(
+            f"timestamp {raw!r} is not a valid time YYYY-MM-DD(T| )HH:MM[:SS[.ffffff]](Z|+HH:MM|-HH:MM)"
+        ) from None
 
 
 def _normalize_token(raw: str) -> str:

@@ -276,6 +276,21 @@ def test_params_value_of_the_wrong_type_exits_2(params_file, tmp_path, caplog, c
     for part in path:
         node = node[part]
     node[key] = value
+    assert_bad_params_exit_2(doc, tmp_path, caplog, command, f"{dotted} must be")
+
+
+@pytest.mark.parametrize("command, key, value", [("sweep", "device", 5), ("roc-sweep", "interarrival", [])])
+def test_params_node_that_is_not_an_object_exits_2(params_file, tmp_path, caplog, command, key, value):
+    # Such a node was once read as absent: "device": 5 exited 3 saying the
+    # file was missing 'device.tpf'.
+    doc = json.loads(params_file.read_text())
+    doc[key] = value
+    assert_bad_params_exit_2(doc, tmp_path, caplog, command, f"{key} must be a JSON object, got {value!r}")
+
+
+def assert_bad_params_exit_2(doc, tmp_path, caplog, command, message):
+    """command, run on doc, exits 2 with one error line holding message and
+    writes nothing."""
     bad = tmp_path / "params.json"
     bad.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -284,7 +299,7 @@ def test_params_value_of_the_wrong_type_exits_2(params_file, tmp_path, caplog, c
     argv += ["--radiologists", "6"]
     assert cli.main(argv) == 2
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-    assert len(errors) == 1 and f"{dotted} must be" in errors[0], errors
+    assert len(errors) == 1 and message in errors[0], errors
     assert list(out.iterdir()) == []
 
 

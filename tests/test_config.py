@@ -63,6 +63,9 @@ def test_bad_clock_exits_2(tmp_path):
         ('work_end: "8:75"\n', "work_end: cannot parse clock time '8:75'"),
         ("boundary_date: 2024-02-30\n", "boundary_date: cannot parse date '2024-02-30'"),
         ("holidays: [2024-01-01, 2024-13-01]\n", "holidays: cannot parse date '2024-13-01'"),
+        # Dates Python 3.11's date.fromisoformat reads, and 3.10's does not.
+        ('boundary_date: "20240304"\n', "boundary_date: cannot parse date '20240304'"),
+        ('holidays: ["2024-W10-1"]\n', "holidays: cannot parse date '2024-W10-1'"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, caplog, text, key):

@@ -11,8 +11,10 @@ rows, wrong field counts, respelled and unknown tokens, padded cells, naive
 and unparseable stamps, negative TATs and tied timestamps.
 """
 import codecs
+import csv
 import dataclasses
 import logging
+import re
 from datetime import date, datetime, time, timedelta, timezone
 
 import numpy as np
@@ -31,7 +33,7 @@ from triagesim.estimation import (
     ingest_closure_log,
     ingest_exam_log,
 )
-from triagesim.synthetic import SyntheticSpec, generate_closure_rows, generate_exam_rows
+from triagesim.synthetic import SyntheticSpec, generate_closure_rows, generate_corpus, generate_exam_rows
 
 UTC = timezone.utc
 EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
@@ -150,13 +152,13 @@ def warnings_from(caplog, logger: str) -> list[str]:
     return [r.getMessage() for r in caplog.records if r.name == logger and r.levelno == logging.WARNING]
 
 
-def ingest_both(ingest, reference_ingest, path, caplog):
+def ingest_both(ingest, reference_ingest, path, caplog, warned=True):
     caplog.clear()
     with caplog.at_level(logging.WARNING):
         new = ingest(path)
         ref = reference_ingest(path)
     assert warnings_from(caplog, "triagesim.estimation") == warnings_from(caplog, "reference_ingest")
-    assert warnings_from(caplog, "triagesim.estimation")
+    assert bool(warnings_from(caplog, "triagesim.estimation")) == warned
     return new, ref
 
 
@@ -362,14 +364,22 @@ STAMP_CASES = {
 NUMPY_REJECTS = ("2023-02-29", "hour-24", "second-60", "month-00", "month-13", "day-00", "2024-04-31", "1900-02-29")
 
 
+# The STAMP_CASES that are valid; "33-characters" is GOOD_STAMP padded.
+VALID_CASES = ("2024-02-29", "2000-02-29", "offset-00:00", "no-fraction", "Z", "space-separator", "33-characters")
+
+
+def timestamp_fault(stamp: str) -> str:
+    return f"timestamp {stamp!r} is not a valid time YYYY-MM-DD(T| )HH:MM[:SS[.ffffff]](Z|+HH:MM|-HH:MM)"
+
+
 @pytest.mark.parametrize("case", STAMP_CASES)
 def test_bulk_stamps_agree_with_row_parser(tmp_path, caplog, case):
     stamp = STAMP_CASES[case]
     cells = [GOOD_STAMP, stamp, GOOD_STAMP]
-    wall, utc, bulk = estimation._stamps(cells)
-    assert bulk.tolist() == [True, case in ("2024-02-29", "2000-02-29", "offset-00:00"), True]
-    for k in np.flatnonzero(bulk):
-        t = estimation._parse_timestamp(cells[k])
+    wall, utc, valid = estimation._stamps(cells)
+    assert valid.tolist() == [True, case in VALID_CASES, True]
+    for k in np.flatnonzero(valid):
+        t = reference._parse_timestamp(cells[k])
         assert utc[k] == (t - EPOCH) // MICROSECOND
         assert wall[k] == utc[k] + t.utcoffset() // MICROSECOND
     # Through ingest, each row gives the reference's value or its warning.
@@ -382,9 +392,154 @@ def test_bulk_stamps_agree_with_row_parser(tmp_path, caplog, case):
     if case.startswith("offset-minute-"):
         # fromisoformat on Python 3.11 would read +05:60 as +06:00.
         assert new.n_malformed == 2
-        assert f"line 3: skipping malformed row (timestamp {stamp!r} has a zone offset field of 60 or more)" in (
+        assert f"line 3: skipping malformed row ({timestamp_fault(stamp)})" in (
             warnings_from(caplog, "triagesim.estimation")[0]
         )
+
+
+def test_warning_names_the_first_failing_cell(tmp_path, caplog):
+    path = tmp_path / "exam.csv"
+    rows = [
+        f"E1,{GOOD_STAMP},not-a-time,r001,Janitor,Wrong,Moon Base",
+        f"E2,{GOOD_STAMP},{GOOD_STAMP},r001,Resident,Wrong,Moon Base",
+    ]
+    path.write_text("\n".join([EXAM_HEADER, *rows, ""]))
+    ingest_both(ingest_exam_log, reference.ingest_exam_log, path, caplog)
+    assert warnings_from(caplog, "triagesim.estimation") == [
+        f"{path} line 2: skipping malformed row ({timestamp_fault('not-a-time')})",
+        f"{path} line 3: skipping malformed row (unknown diagnosis 'Wrong')",
+    ]
+
+
+# Each shape a timestamp may take and what it gives on every Python version:
+# its UTC and wall-clock times, or None where it is malformed. It holds every
+# STAMP_CASES entry.
+GRAMMAR = {
+    # The bulk shape, and the date, time and offset checks it is held to.
+    GOOD_STAMP: ("2024-03-04T15:00:00.123456", "2024-03-04T10:00:00.123456"),
+    "2024-02-29T10:00:00.123456-05:00": ("2024-02-29T15:00:00.123456", "2024-02-29T10:00:00.123456"),
+    "2000-02-29T10:00:00.123456-05:00": ("2000-02-29T15:00:00.123456", "2000-02-29T10:00:00.123456"),
+    "2024-03-04T10:00:00.123456-00:00": ("2024-03-04T10:00:00.123456", "2024-03-04T10:00:00.123456"),
+    "2024-03-04T23:59:59.999999+23:59": ("2024-03-04T00:00:59.999999", "2024-03-04T23:59:59.999999"),
+    "2024-03-04T00:00:00.000000-23:59": ("2024-03-04T23:59:00", "2024-03-04T00:00:00"),
+    "0000-03-04T10:00:00.123456+00:00": None,
+    "2023-02-29T10:00:00.123456-05:00": None,
+    "1900-02-29T10:00:00.123456-05:00": None,
+    "2024-00-04T10:00:00.123456-05:00": None,
+    "2024-13-04T10:00:00.123456-05:00": None,
+    "2024-03-00T10:00:00.123456-05:00": None,
+    "2024-04-31T10:00:00.123456-05:00": None,
+    "2024-03-04T24:00:00.000000-05:00": None,
+    "2024-03-04T10:60:00.000000-05:00": None,
+    "2024-03-04T10:00:60.000000-05:00": None,
+    "2024-03-04T10:00:00.123456+24:00": None,
+    "2024-03-04T10:00:00.123456+05:60": None,
+    "2024-03-04T10:00:00.123456+22:61": None,
+    "2024-03-04T10:00:00.123456-10:99": None,
+    "2024-03-04T10:00:00.12345\u0666-05:00": None,  # an Arabic-Indic digit
+    "\u06602024-03-04T10:00:00.123456-05:00": None,
+    # The other shapes of the grammar.
+    GOOD_STAMP + " ": ("2024-03-04T15:00:00.123456", "2024-03-04T10:00:00.123456"),
+    "\t 2024-03-04T08:30:00+00:00\u00a0": ("2024-03-04T08:30:00", "2024-03-04T08:30:00"),
+    "2024-03-04T10:00:00-05:00": ("2024-03-04T15:00:00", "2024-03-04T10:00:00"),
+    "2024-03-04T10:00:00.123456Z": ("2024-03-04T10:00:00.123456", "2024-03-04T10:00:00.123456"),
+    "2024-03-04 10:00:00.123456-05:00": ("2024-03-04T15:00:00.123456", "2024-03-04T10:00:00.123456"),
+    "2024-03-04T08:30-05:00": ("2024-03-04T13:30:00", "2024-03-04T08:30:00"),
+    "2024-03-04 08:30Z": ("2024-03-04T08:30:00", "2024-03-04T08:30:00"),
+    "2024-03-04T08:30:15.1+05:30": ("2024-03-04T03:00:15.1", "2024-03-04T08:30:15.1"),
+    "2024-03-04T08:30:15.12+05:30": ("2024-03-04T03:00:15.12", "2024-03-04T08:30:15.12"),
+    "2024-03-04T08:30:15.123-05:00": ("2024-03-04T13:30:15.123", "2024-03-04T08:30:15.123"),
+    "2024-03-04T08:30:15.1234Z": ("2024-03-04T08:30:15.1234", "2024-03-04T08:30:15.1234"),
+    "2024-03-04 08:30:15.00005Z": ("2024-03-04T08:30:15.00005", "2024-03-04T08:30:15.00005"),
+    "2024-02-29 23:30-05:00": ("2024-03-01T04:30:00", "2024-02-29T23:30:00"),
+    # Shapes outside the grammar. The old row parser, Python 3.11's
+    # fromisoformat, took these (checked on 3.11.7) ...
+    "20240304T083000-0500": None,
+    "2024-W10-1T08:30:00+00:00": None,
+    "2024-03-04x08:30:00+00:00": None,
+    "2024-03-04t08:30:00+00:00": None,
+    "2024-03-04T08-05:00": None,
+    "2024-03-04T08:30.5+00:00": None,
+    "2024-03-04T08:30:00.+00:00": None,
+    "2024-03-04T08:30:00,5+00:00": None,
+    "2024-03-04T08:30:00.1234567+00:00": None,
+    "2024-03-04T08:30:00.123456789+00:00": None,
+    "2024-03-04T08:30:00 +00:00": None,
+    "2024-03-04T08:30:00+0530": None,
+    "2024-03-04T08:30:00+05": None,
+    "2024-03-04T08:30:00+05:30:15": None,
+    "2024-03-04T08:30:00+05:30:15.5": None,
+    # ... and rejected these.
+    "2024-03-04T08:30:00": None,
+    "2024-03-04": None,
+    "2024-03-04T08:30:00z": None,
+    "2024-03-04  08:30:00+00:00": None,
+    "2024/03/04T08:30:00+00:00": None,
+    "not-a-time": None,
+}
+
+
+def test_grammar_table_holds_every_stamp_case():
+    assert set(STAMP_CASES.values()) <= set(GRAMMAR)
+
+
+@pytest.mark.parametrize("stamp", GRAMMAR)
+def test_timestamp_grammar(tmp_path, caplog, stamp):
+    expected = GRAMMAR[stamp]
+    # The reference parser, on its own; times as UTC and wall microseconds.
+    if expected is None:
+        with pytest.raises(ValueError) as raised:
+            reference._parse_timestamp(stamp)
+        assert str(raised.value) == timestamp_fault(stamp)
+    else:
+        expected = np.array(expected, "datetime64[us]").view(np.int64).tolist()
+        t = reference._parse_timestamp(stamp)
+        utc = (t - EPOCH) // MICROSECOND
+        assert [utc, utc + t.utcoffset() // MICROSECOND] == expected
+    # The program, between stamps in the bulk shape and through ingest,
+    # with the cell quoted where it holds a comma.
+    wall, utc, valid = estimation._stamps([GOOD_STAMP, stamp, GOOD_STAMP])
+    assert valid.tolist() == [True, expected is not None, True]
+    if expected is not None:
+        assert [utc[1], wall[1]] == expected
+    path = tmp_path / "closures.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(
+            [CLOSURE_HEADER.split(","), ["r001", GOOD_STAMP, "pe_positive"], ["r001", stamp, "pe_positive"]]
+        )
+    new, ref = ingest_both(ingest_closure_log, reference.ingest_closure_log, path, caplog, warned=expected is None)
+    assert_closure_columns_equal(new, ref)
+    if expected is None:
+        assert warnings_from(caplog, "triagesim.estimation") == [
+            f"{path} line 3: skipping malformed row ({timestamp_fault(stamp)})"
+        ]
+
+
+@pytest.mark.parametrize("variant", ["no-fraction", "short-fraction", "Z", "space-separator"])
+def test_grammar_variants_give_the_bulk_shape_columns(tmp_path, variant):
+    """A synthetic corpus rewritten into another shape of the grammar is
+    read as the same stamps in the bulk shape are."""
+    generate_corpus(tmp_path, SyntheticSpec(seed=7, n_days=28, readers_per_day=10, closure_mix=(0.10, 0.18, 0.72)))
+    bulk_stamp = re.compile(r"([0-9-]{10})T([0-9:]{8})\.([0-9]{6})\+00:00")
+    rewrite = {
+        "no-fraction": (r"\1T\2.000000+00:00", r"\1T\2+00:00"),
+        "short-fraction": (r"\g<0>", lambda m: f"{m[1]}T{m[2]}.{m[3].rstrip('0') or '0'}+00:00"),
+        "Z": (r"\g<0>", r"\1T\2.\3Z"),
+        "space-separator": (r"\g<0>", r"\1 \2.\3+00:00"),
+    }[variant]
+    for name, ingest in (("exam_log.csv", ingest_exam_log), ("closure_log.csv", ingest_closure_log)):
+        text = (tmp_path / name).read_text()
+        assert len(bulk_stamp.findall(text)) > 10_000
+        texts = [bulk_stamp.sub(replacement, text) for replacement in rewrite]
+        runs = []
+        for k, rewritten in enumerate(texts):
+            path = tmp_path / f"{k}-{name}"
+            path.write_text(rewritten)
+            runs.append(ingest(path))
+        bulk, other = runs
+        assert bulk.n_malformed == 0 and texts[0] != texts[1]
+        for f in dataclasses.fields(bulk):
+            np.testing.assert_array_equal(getattr(other, f.name), getattr(bulk, f.name), err_msg=f.name)
 
 
 @pytest.mark.parametrize("case", NUMPY_REJECTS)

@@ -1,7 +1,8 @@
 """Differential check of the heap kernel against the reference event-scan
 kernel in reference_kernel.py: start and suspended times must be equal bit
 for bit under every discipline. Then properties every replay must have,
-checked with hypothesis over small random streams.
+checked with hypothesis over small random streams, and exact relations
+between replays.
 
 Continuous draws almost never put two events at the same instant, so the
 tie rules ("completions before arrivals, lowest exam id first") are only
@@ -204,3 +205,51 @@ def test_total_work_is_equal_across_disciplines(case):
         times, present = occupancy(out.arrival, out.completion)
         ends.append(times[present == 0])
     assert np.array_equal(ends[0], ends[1]) and np.array_equal(ends[0], ends[2])
+
+
+# Exact relations between replays. Under preemptive priority a flagged exam
+# never waits for an unflagged one and never interrupts a flagged one, so
+# the flagged exams see a FIFO queue that holds only them.
+def flagged_only(stream):
+    f = stream.flagged
+    return PatientStream(stream.arrival[f], stream.service[f], stream.diseased[f], f[f])
+
+
+def assert_flagged_starts_are_their_own_fifo_starts(stream, n_servers):
+    preemptive = replay_stream(stream, n_servers, QueueDiscipline.AI_PRIORITY_PREEMPTIVE)
+    alone = replay_stream(flagged_only(stream), n_servers, QueueDiscipline.FIFO)
+    assert np.array_equal(preemptive.start[stream.flagged], alone.start)
+
+
+@PROPERTIES
+@given(small_streams())
+def test_flagged_exams_see_a_fifo_queue_of_their_own(case):
+    stream, n_servers = case
+    if stream.flagged.any():
+        assert_flagged_starts_are_their_own_fifo_starts(stream, n_servers)
+
+
+def test_flagged_exams_see_a_fifo_queue_of_their_own_on_the_criterion_1_stream():
+    params = studied(2.17, 3)
+    stream = generate_stream(params, 100_000, trial_stream(42, 0))
+    assert stream.flagged.sum() > 400
+    assert_flagged_starts_are_their_own_fifo_starts(stream, params.n_radiologists)
+
+
+@PROPERTIES
+@given(small_streams())
+def test_another_reader_never_starts_a_fifo_exam_later(case):
+    stream, n_servers = case
+    fewer = replay_stream(stream, n_servers, QueueDiscipline.FIFO)
+    more = replay_stream(stream, n_servers + 1, QueueDiscipline.FIFO)
+    assert np.all(more.start <= fewer.start)
+
+
+@PROPERTIES
+@given(small_streams())
+def test_doubling_every_time_doubles_every_start(case):
+    stream, n_servers = case
+    doubled = PatientStream(2 * stream.arrival, 2 * stream.service, stream.diseased, stream.flagged)
+    for discipline in QueueDiscipline:
+        out = replay_stream(stream, n_servers, discipline)
+        assert np.array_equal(replay_stream(doubled, n_servers, discipline).start, 2 * out.start), discipline
